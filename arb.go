@@ -23,7 +23,8 @@
 // or an in-memory tree) and owns what its queries share — the label-name
 // table and, on disk, the subtree index; a PreparedQuery holds a compiled
 // program whose lazily built automata persist across executions, so a
-// warm query evaluates with two hash-table lookups per node.
+// warm query evaluates with two dense-table lookups per node — one per
+// automaton, indexed by small state ids, with no hashing.
 //
 //	sess, err := arb.OpenSession("mydb")              // mydb.arb + mydb.lab (+ mydb.idx)
 //	defer sess.Close()
@@ -149,7 +150,6 @@ import (
 	"io"
 
 	"arb/internal/core"
-	"arb/internal/parallel"
 	"arb/internal/rescache"
 	"arb/internal/storage"
 	"arb/internal/tmnf"
@@ -180,18 +180,8 @@ type (
 	// CreateStats reports database-creation statistics (Figure 5).
 	CreateStats = storage.CreateStats
 
-	// Engine evaluates one compiled program over trees or databases.
-	//
-	// Deprecated: prepare queries on a Session instead; PreparedQuery
-	// persists the engine across executions and supports cancellation.
-	Engine = core.Engine
 	// Result holds the selected nodes per query predicate.
 	Result = core.Result
-	// RunOpts configures in-memory runs of the deprecated Engine.Run.
-	RunOpts = core.RunOpts
-	// DiskOpts configures secondary-storage runs of the deprecated
-	// Engine.RunDisk.
-	DiskOpts = core.DiskOpts
 	// DiskStats reports the scan profile of a secondary-storage run
 	// (Profile.Disk).
 	DiskStats = core.DiskStats
@@ -204,12 +194,6 @@ type (
 	// ResultCacheStats reports the result cache's counters
 	// (Session.ResultCacheStats).
 	ResultCacheStats = rescache.Stats
-
-	// ParallelResult holds the result of a multi-worker run; it is the
-	// same unified type every execution path returns.
-	//
-	// Deprecated: use Result.
-	ParallelResult = parallel.Result
 )
 
 // None is the absent-node sentinel.
@@ -222,7 +206,7 @@ func ParseProgram(src string) (*Program, error) { return tmnf.Parse(src) }
 
 // ParseXPath parses a Core XPath query and translates it to TMNF. The
 // positive fragment compiles to a single program; not(..) conditions add
-// auxiliary passes (evaluate with XPathQuery.Eval).
+// auxiliary passes (prepare it with Session.PrepareXPath).
 func ParseXPath(src string) (*XPathQuery, error) { return xpath.Compile(src) }
 
 // ParseXML parses an XML document into an in-memory tree, text as one

@@ -2,12 +2,14 @@ package arb_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"arb"
+	"arb/internal/core"
 	"arb/internal/testutil"
 )
 
@@ -33,11 +35,11 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := arb.NewEngine(prog, db.Names)
+	pq, err := arb.NewDBSession(db).Prepare(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ds, err := eng.RunDisk(db, arb.DiskOpts{})
+	res, prof, err := pq.Exec(context.Background(), arb.ExecOpts{Stats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +47,9 @@ func TestEndToEnd(t *testing.T) {
 	if res.Count(q) != 1 {
 		t.Fatalf("selected %d titles, want 1", res.Count(q))
 	}
-	if ds.StateBytes != db.N*4 {
-		t.Fatalf("state file: %d bytes for %d nodes", ds.StateBytes, db.N)
+	// A handful of bottom-up states fit the one-byte state width.
+	if prof.Disk.StateBytes != db.N {
+		t.Fatalf("state file: %d bytes for %d nodes", prof.Disk.StateBytes, db.N)
 	}
 
 	var buf bytes.Buffer
@@ -71,15 +74,13 @@ func TestXPathFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := q.Eval(tr)
+	pq, err := arb.NewSession(tr).PrepareXPath(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	for _, ok := range sel {
-		if ok {
-			count++
-		}
+	count, err := pq.Count(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if count != 1 {
 		t.Fatalf("selected %d titles, want 1 (single-author book)", count)
@@ -98,15 +99,16 @@ func TestEngineReuseAcrossDocuments(t *testing.T) {
 	// All documents share one name table so Label[..] resolution is
 	// stable across runs.
 	names := testutil.RandomTreeWithNames(rng, nil, 200).Names()
-	eng, err := arb.NewEngine(prog, names)
+	c, err := core.Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := core.NewEngine(c, names)
 	var prev int
 	converged := false
 	for i := 0; i < 25; i++ {
 		tr := testutil.RandomTreeWithNames(rng, names, 200)
-		if _, err := eng.Run(tr, arb.RunOpts{}); err != nil {
+		if _, err := core.RunBatchTree(context.Background(), tr, core.Solo(eng), core.TreeBatchOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		cur := eng.Stats().BUTransitions
@@ -134,12 +136,13 @@ func TestDiskOptsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := arb.NewEngine(prog, db.Names)
+	sess := arb.NewDBSession(db)
+	pq, err := sess.Prepare(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var marked bytes.Buffer
-	if _, _, err := eng.RunDisk(db, arb.DiskOpts{MarkTo: &marked}); err != nil {
+	if _, _, err := pq.Exec(context.Background(), arb.ExecOpts{MarkTo: &marked}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(marked.String(), `arb:selected="true"`) != 2 {
@@ -151,11 +154,11 @@ func TestDiskOptsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.EvalDisk(db, filepath.Dir(base), 1)
+	xpq, err := sess.PrepareXPath(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count(q.Main.Queries()[0]) != 1 {
-		t.Fatalf("EvalDisk selected %d titles, want 1", res.Count(q.Main.Queries()[0]))
+	if n, err := xpq.Count(context.Background()); err != nil || n != 1 {
+		t.Fatalf("negated XPath on disk selected %d titles (err %v), want 1", n, err)
 	}
 }

@@ -53,9 +53,9 @@ func batchCorpus(t testing.TB) []any {
 	}
 }
 
-// scalarSelected runs every corpus query through its own PreparedQuery
+// soloSelected runs every corpus query through its own PreparedQuery
 // and returns, per member and per query predicate, the selected node ids.
-func scalarSelected(t testing.TB, sess *arb.Session, corpus []any) [][][]arb.NodeID {
+func soloSelected(t testing.TB, sess *arb.Session, corpus []any) [][][]arb.NodeID {
 	t.Helper()
 	out := make([][][]arb.NodeID, len(corpus))
 	for i, item := range corpus {
@@ -93,7 +93,7 @@ func sameSelected(t testing.TB, label string, member int, got, want []arb.NodeID
 	}
 }
 
-// checkBatchAgainst compares a batch execution's results with the scalar
+// checkBatchAgainst compares a batch execution's results with the solo
 // reference, predicate by predicate.
 func checkBatchAgainst(t testing.TB, label string, pb *arb.PreparedBatch, opts arb.ExecOpts, want [][][]arb.NodeID) {
 	t.Helper()
@@ -131,7 +131,7 @@ func TestBatchDifferential(t *testing.T) {
 	corpus := batchCorpus(t)
 	memSess := arb.NewSession(tr)
 	diskSess := arb.NewDBSession(db)
-	want := scalarSelected(t, memSess, corpus)
+	want := soloSelected(t, memSess, corpus)
 
 	// Oracles: the naive fixpoint evaluator for TMNF members, the direct
 	// XPath interpreter for XPath members.
@@ -190,7 +190,7 @@ func TestBatchDifferential(t *testing.T) {
 
 // TestBatchOrderIndependence is the property test: random subsets of the
 // corpus, in random order, executed on both backends, always reproduce
-// each member's scalar result — batch composition and position must not
+// each member's solo result — batch composition and position must not
 // leak into any member's answer.
 func TestBatchOrderIndependence(t *testing.T) {
 	tr := buildCatalog(t, 500)
@@ -204,7 +204,7 @@ func TestBatchOrderIndependence(t *testing.T) {
 	corpus := batchCorpus(t)
 	memSess := arb.NewSession(tr)
 	diskSess := arb.NewDBSession(db)
-	want := scalarSelected(t, memSess, corpus)
+	want := soloSelected(t, memSess, corpus)
 
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 8; trial++ {
@@ -267,7 +267,7 @@ func TestBatchCancel(t *testing.T) {
 
 	// Concurrent cancellation: wherever the cancel lands, the invariant
 	// is a clean result or ctx.Err(), and no leaked temp files.
-	want := scalarSelected(t, sess, batchCorpus(t))
+	want := soloSelected(t, sess, batchCorpus(t))
 	for i := 0; i < 6; i++ {
 		cctx, ccancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -392,7 +392,7 @@ func checkTwoScans(t *testing.T, base string, workerCounts []int, spotCheck bool
 		if !spotCheck {
 			continue
 		}
-		// Spot-check a member against its own scalar run.
+		// Spot-check a member against its own solo run.
 		pq, err := sess.Prepare(pb.Program(3))
 		if err != nil {
 			t.Fatal(err)
@@ -402,7 +402,7 @@ func checkTwoScans(t *testing.T, base string, workerCounts []int, spotCheck bool
 			t.Fatal(err)
 		}
 		if got := res[3].Count(pb.Queries(3)[0]); got != n {
-			t.Fatalf("workers=%d: member 3 selected %d nodes, scalar %d", workers, got, n)
+			t.Fatalf("workers=%d: member 3 selected %d nodes, solo %d", workers, got, n)
 		}
 	}
 }

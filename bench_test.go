@@ -30,7 +30,6 @@ import (
 	"arb"
 	"arb/internal/bench"
 	"arb/internal/core"
-	"arb/internal/parallel"
 	"arb/internal/storage"
 	"arb/internal/stream"
 	"arb/internal/tree"
@@ -124,12 +123,11 @@ func fig6Bench(b *testing.B, th bench.Thread) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := core.NewEngine(c, db.Names)
-				res, _, err := e.RunDisk(db, core.DiskOpts{})
+				res, _, err := core.RunDiskBatch(context.Background(), db, core.Solo(core.NewEngine(c, db.Names)), core.DiskBatchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				selected += res.Count(prog.Queries()[0])
+				selected += res[0].Count(prog.Queries()[0])
 			}
 			_ = selected
 		})
@@ -172,16 +170,17 @@ func BenchmarkStreamVsEngine(b *testing.B) {
 		}
 	})
 	b.Run("engine-2pass", func(b *testing.B) {
+		sess := arb.NewSession(t)
 		for i := 0; i < b.N; i++ {
 			prog, err := queries[i%len(queries)].Program(bench.Treebank.RStep())
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := arb.NewEngine(prog, t.Names())
+			pq, err := sess.Prepare(prog)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := e.Run(t, core.RunOpts{}); err != nil {
+			if _, _, err := pq.Exec(context.Background(), arb.ExecOpts{NoPrune: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -197,17 +196,18 @@ func BenchmarkParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := arb.NewEngine(prog, t.Names())
+	pq, err := arb.NewSession(t).Prepare(prog)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := parallel.Run(e, t, 4); err != nil { // warm up
+	ctx := context.Background()
+	if _, _, err := pq.Exec(ctx, arb.ExecOpts{Workers: 4, NoPrune: true}); err != nil { // warm up
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := parallel.Run(e, t, workers); err != nil {
+				if _, _, err := pq.Exec(ctx, arb.ExecOpts{Workers: workers, NoPrune: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

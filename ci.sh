@@ -18,9 +18,9 @@ go vet ./...
 go build ./...
 
 # Repo-specific invariants: context threading, lock discipline, temp
-# cleanup, deprecated shims, reader Close/Release, snapshot-pin
-# release, atomic/plain access mixing, goroutine termination, and lock
-# ordering — the full nine-analyzer suite, gated on the committed
+# cleanup, reader Close/Release, snapshot-pin release, atomic/plain
+# access mixing, goroutine termination, and lock ordering — the full
+# eight-analyzer suite, gated on the committed
 # baseline: any finding not already recorded there fails the build.
 go run ./cmd/arblint -baseline .arblint-baseline.json ./...
 
@@ -123,7 +123,7 @@ fi
 # independence, cancellation cleanup), selectivity-aware pruning
 # (analysis admission, v2 index, prune-vs-noprune differentials across
 # all strategies), and the concurrent query server (reentrant handles,
-# coalescing differential vs scalar execution, drain), each under the
+# coalescing differential vs solo execution, drain), each under the
 # race detector.
 go test -run Cancel -race ./...
 go test -run Batch -race ./...

@@ -65,7 +65,7 @@ func TestInterproceduralAnalyzersClean(t *testing.T) {
 	}
 }
 
-// TestRosterAndJSON asserts the advertised suite is the full nine and
+// TestRosterAndJSON asserts the advertised suite is the full eight and
 // that the machine-readable path stays wired: -json with the committed
 // baseline must emit an empty JSON array on a clean tree.
 func TestRosterAndJSON(t *testing.T) {
@@ -80,7 +80,7 @@ func TestRosterAndJSON(t *testing.T) {
 		t.Fatalf("arblint -list failed:\n%s\nerror: %v", out, err)
 	}
 	for _, name := range []string{
-		"ctxflow", "lockdiscipline", "tmpcleanup", "noshims", "closecheck",
+		"ctxflow", "lockdiscipline", "tmpcleanup", "closecheck",
 		"snappin", "atomicmix", "goroleak", "lockorder",
 	} {
 		if !strings.Contains(string(out), name) {

@@ -30,6 +30,7 @@ import (
 	"arb/internal/parallel"
 	"arb/internal/storage"
 	"arb/internal/tmnf"
+	"arb/internal/tree"
 	"arb/internal/workload"
 )
 
@@ -226,8 +227,9 @@ type Fig6Opts struct {
 	// checks and ablation).
 	InMemory bool
 	// Workers evaluates each query with that many parallel workers
-	// (0 or 1 = sequential): RunDiskParallel on disk, parallel.Run in
-	// memory. The selected counts are identical either way.
+	// (0 or 1 = sequential): core.RunDiskBatchParallel on disk,
+	// parallel.RunBatchContext in memory. The selected counts are
+	// identical either way.
 	Workers int
 	// Base reuses an existing database (from Fig5) instead of creating
 	// one under Dir.
@@ -336,36 +338,27 @@ func Fig6(th Thread, opts Fig6Opts) ([]Fig6Row, error) {
 // or on disk, sequential or with opts.Workers workers) and returns the
 // selected count for query q — identical in every mode.
 func evalQuery(e *core.Engine, db *storage.DB, q tmnf.Pred, opts Fig6Opts) (int64, error) {
-	if opts.InMemory {
-		t, err := db.ReadTree(context.Background())
-		if err != nil {
+	ctx := context.Background()
+	var res []*core.Result
+	var err error
+	switch {
+	case opts.InMemory:
+		var t *tree.Tree
+		if t, err = db.ReadTree(ctx); err != nil {
 			return 0, err
 		}
 		if opts.Workers > 1 {
-			res, err := parallel.RunContext(context.Background(), e, t, opts.Workers, core.RunOpts{})
-			if err != nil {
-				return 0, err
-			}
-			return res.Count(q), nil
+			res, err = parallel.RunBatchContext(ctx, t, opts.Workers, core.Solo(e), core.TreeBatchOpts{})
+		} else {
+			res, err = core.RunBatchTree(ctx, t, core.Solo(e), core.TreeBatchOpts{})
 		}
-		res, err := e.RunContext(context.Background(), t, core.RunOpts{})
-		if err != nil {
-			return 0, err
-		}
-		return res.Count(q), nil
+	default:
+		res, _, err = core.RunDiskBatchParallel(ctx, db, max(opts.Workers, 1), core.Solo(e), core.DiskBatchOpts{})
 	}
-	if opts.Workers > 1 {
-		res, _, err := e.RunDiskParallelContext(context.Background(), db, opts.Workers, core.DiskOpts{})
-		if err != nil {
-			return 0, err
-		}
-		return res.Count(q), nil
-	}
-	res, _, err := e.RunDiskContext(context.Background(), db, core.DiskOpts{})
 	if err != nil {
 		return 0, err
 	}
-	return res.Count(q), nil
+	return res[0].Count(q), nil
 }
 
 // createThreadDB builds the database a thread runs against.

@@ -29,7 +29,7 @@ type SpeedupOpts struct {
 
 // Speedup measures parallel secondary-storage evaluation against the
 // sequential two-scan baseline on one benchmark thread: the same queries
-// are evaluated per worker count (workers 1 = sequential RunDisk) and the
+// are evaluated per worker count (workers 1 = the sequential scans) and the
 // average wall time compared. On the balanced ACGT-infix thread chunks
 // divide evenly and the speedup approaches the worker count once the
 // shared automata are warm; on ACGT-flat the right-deep tree defeats the
@@ -76,20 +76,11 @@ func Speedup(th Thread, workerCounts []int, opts SpeedupOpts) ([]SpeedupRow, err
 			}
 			e := core.NewEngine(c, db.Names)
 			start := time.Now()
-			var selected int64
-			if workers <= 1 {
-				res, _, err := e.RunDiskContext(context.Background(), db, core.DiskOpts{})
-				if err != nil {
-					return nil, err
-				}
-				selected = res.Count(prog.Queries()[0])
-			} else {
-				res, _, err := e.RunDiskParallelContext(context.Background(), db, workers, core.DiskOpts{})
-				if err != nil {
-					return nil, err
-				}
-				selected = res.Count(prog.Queries()[0])
+			res, _, err := core.RunDiskBatchParallel(context.Background(), db, workers, core.Solo(e), core.DiskBatchOpts{})
+			if err != nil {
+				return nil, err
 			}
+			selected := res[0].Count(prog.Queries()[0])
 			row.Seconds += time.Since(start).Seconds()
 			row.Selected += float64(selected)
 		}

@@ -69,13 +69,13 @@ func StreamComparison(base string, sizes []int, queries int) ([]StreamComparison
 			}
 			e := core.NewEngine(c, t.Names())
 			start = time.Now()
-			res, err := e.RunContext(context.Background(), t, core.RunOpts{})
+			res, err := core.RunBatchTree(context.Background(), t, core.Solo(e), core.TreeBatchOpts{})
 			if err != nil {
 				return nil, err
 			}
 			row.EngineSeconds += time.Since(start).Seconds()
 
-			engineCount := res.Count(prog.Queries()[0])
+			engineCount := res[0].Count(prog.Queries()[0])
 			if engineCount != sess.Count() {
 				row.Agreed = false
 			}

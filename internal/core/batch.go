@@ -18,16 +18,17 @@ import (
 	"arb/internal/tree"
 )
 
-// Batch evaluation runs N compiled programs over one document during a
-// single pair of linear scans. The scans are query-independent I/O — the
-// paper's cost model is dominated by them — so a server fielding many
-// concurrent queries amortises the passes across the whole workload: at
-// every scan position each member engine takes its own transition, the
-// phase-1 states of all members stream to one widened state file
-// (stateWidth bytes per member per node), and auxiliary predicate masks
-// travel in one widened sidecar with a slot per member. Results are
-// bit-identical to running each member alone: the decomposition only
-// shares the iteration, never the automata.
+// The evaluation kernel runs N compiled programs over one document during
+// a single pair of linear passes (Algorithm 4.6): at every node each
+// member engine takes its own transition through a dense per-run cache
+// (BatchCache), the phase-1 states of all members stream to one widened
+// state file (the state width per member per node), and auxiliary
+// predicate masks travel in one widened sidecar with a slot per member.
+// A single query is a batch of one — there is no other driver. The scans
+// are query-independent I/O, so a server fielding many concurrent queries
+// amortises them across the whole workload. Results are bit-identical to
+// running each member alone: the decomposition only shares the
+// iteration, never the automata.
 
 // BatchMember is one query's engine inside a batch run, plus the wiring
 // of its auxiliary predicate masks (the multi-pass XPath mechanism).
@@ -50,6 +51,30 @@ type BatchMember struct {
 	AuxOutQuery int
 }
 
+// Solo returns the members of a batch of one: engine e with no aux
+// wiring — how a single query runs through the kernel.
+func Solo(e *Engine) []BatchMember {
+	return []BatchMember{{E: e, AuxInSlot: -1, AuxOutSlot: -1}}
+}
+
+// MarkOpts asks phase 2 to stream the document back out as XML with the
+// nodes selected by query predicate Query of the first member marked up —
+// the system's default output mode (Section 6.3), produced during the
+// second pass itself. Marking visits every node in document order, so
+// marked runs never prune and always run sequentially.
+type MarkOpts struct {
+	To    io.Writer // nil: no marked output
+	Query int
+}
+
+// emitter returns the XML emitter for a marked run, or nil.
+func (mk MarkOpts) emitter(names *tree.Names) *storage.XMLEmitter {
+	if mk.To == nil {
+		return nil
+	}
+	return storage.NewXMLEmitter(mk.To, names)
+}
+
 // DiskBatchOpts configures a secondary-storage batch run. The sidecar
 // paths name widened aux-mask files (storage.MaskStride bytes per node);
 // empty paths mean no aux input/output.
@@ -59,6 +84,20 @@ type DiskBatchOpts struct {
 	AuxOut       string
 	AuxOutStride int
 
+	// KeepStateFile retains the phase-1 state file after a successful
+	// run and reports its path as every member's Result.StateFile; a
+	// failed run always removes it. The kept file holds, per node in
+	// reverse preorder (the paper's footnote 12), one 4-byte big-endian
+	// bottom-up state id per member in member order — so a batch of one
+	// keeps exactly 4 bytes per node, whatever width an unkept run would
+	// have used. Every run names its file uniquely next to the database,
+	// so concurrent kept runs never collide; the caller owns removal.
+	// Kept runs never prune: the file covers every node.
+	KeepStateFile bool
+
+	// Mark streams marked XML during phase 2 (see MarkOpts).
+	Mark MarkOpts
+
 	// NoPrune disables selectivity-aware scan pruning for this round. A
 	// batch round prunes an extent only when every member's analysis
 	// proves it irrelevant (the scans are shared); rounds with aux input
@@ -66,40 +105,74 @@ type DiskBatchOpts struct {
 	NoPrune bool
 
 	// Run, when non-nil, receives the round's exact statistics across
-	// all members — deterministic per-run attribution even when batch
-	// executions overlap on shared engines.
+	// all members (node visits, prune savings, phase times, and the
+	// transitions its own cache misses computed) — deterministic per-run
+	// attribution even when executions overlap on shared engines.
 	Run *RunStats
 }
 
-// transSource is the narrow automata interface the batch inner loops run
-// against — a SharedEngine view of each member engine, so batch runs may
-// overlap each other and scalar runs of the same engines.
-type transSource interface {
-	ReachableStates(left, right StateID, sig edb.NodeSig) StateID
-	TruePreds(parent, resid StateID, k int) StateID
-	RootTrueSet(rootState StateID) StateID
-	QueryMask(td StateID) uint64
+// prunable reports whether the options admit selectivity-aware pruning.
+func (o DiskBatchOpts) prunable() bool {
+	return !o.NoPrune && o.AuxIn == "" && !o.KeepStateFile && o.Mark.To == nil
+}
+
+// DiskStats reports the per-scan cost profile of a disk run, alongside the
+// engine's cumulative Stats. StateBytes is the temporary disk space the
+// run's phase-1 state file needed (the batch's state width per node).
+type DiskStats struct {
+	Phase1     storage.ScanStats
+	Phase2     storage.ScanStats
+	StateBytes int64
+}
+
+// Merge folds another run's disk profile into this one (e.g. the passes
+// of one multi-pass execution): scan costs merge per phase, temporary
+// state bytes add up.
+func (d *DiskStats) Merge(o DiskStats) {
+	d.Phase1.Merge(o.Phase1)
+	d.Phase2.Merge(o.Phase2)
+	d.StateBytes += o.StateBytes
+}
+
+// AccountRun credits a completed run's node visits, prune savings and
+// phase wall times to every member engine's cumulative Stats and to the
+// run's sink. Drivers — here and in internal/parallel — call it only on
+// success, so a restarted attempt (narrow-width overflow, stale index)
+// never double-counts.
+func AccountRun(members []BatchMember, rs *RunStats, n int64, plan *PrunePlan, agg Stats) {
+	var pruned int64
+	if plan != nil {
+		pruned = plan.Nodes
+	}
+	for _, bm := range members {
+		bm.E.addRun(n, pruned, agg.Phase1Time, agg.Phase2Time)
+		rs.AddNodes(n)
+		rs.AddPrunedNodes(pruned)
+	}
+	rs.AddPhaseTimes(agg.Phase1Time, agg.Phase2Time)
 }
 
 // BatchCache is a dense per-member (and, in parallel runs, per-worker)
-// transition memo for the batch inner loops. A batch pays N engine steps
-// per node instead of one, so the per-step constant matters more here
-// than anywhere else in the system: node signatures resolve straight from
-// the 2-byte record bits (an array lookup), and the two transition
-// functions from flat tables indexed by their small dense state ids.
-// Tables grow geometrically as lazy automata construction discovers
-// states; misses fall through to the underlying source, so the cache is
-// semantics-free — it can never change which state a step yields.
+// transition memo for the kernel's inner loops. A batch pays N engine
+// steps per node, so the per-step constant matters more here than
+// anywhere else in the system: node signatures resolve straight from the
+// 2-byte record bits to the engine's alphabet symbol (an array lookup),
+// and the two transition functions from flat tables indexed by small
+// dense state ids — no hashing on the warm path. Tables start at the
+// engine's current state and symbol counts, so a warm engine's tables
+// are sized exactly and never regrow; lazy construction grows them
+// geometrically. Misses fall through to the shared engine, so the cache
+// is semantics-free — it can never change which state a step yields.
 type BatchCache struct {
-	src transSource
+	src *SharedEngine
 
-	// Local signature interning. Non-root signatures without aux bits are
-	// indexed directly by their record bits; root or aux-extra signatures
-	// (rare: one root per document, aux only on multi-pass members) go
-	// through the map, keyed rec | extra<<16 | root<<32.
-	sigByRec []int32 // 1<<16 entries; 0 = unknown, else local sig id + 1
-	sigAux   map[uint64]int32
-	sigs     []edb.NodeSig // local sig id -> signature, for miss calls
+	// sigs[extra][recIndex(rec)] holds the engine's signature id + 1 for
+	// a non-root node with record bits rec and aux mask extra; 0 means
+	// not yet interned. Each row is sized from the engine's name table
+	// (every label and child-flag combination), and rows exist only for
+	// the aux masks a run meets — one for passes without aux input.
+	sigs    [][]int32
+	sigsLen int
 
 	// δA: bu[((l+1)*dimS + (r+1))*dimSig + sig] = state id + 1. Keys the
 	// dense table will not grow to hold (maxDenseEntries) live in buMap.
@@ -115,6 +188,10 @@ type BatchCache struct {
 	// Query-predicate masks per top-down state.
 	masks     []uint64
 	maskKnown []bool
+
+	// Engine sizes at creation (shared.sizes): the dense tables' initial
+	// dimensions.
+	hintBU, hintSig, hintTD int32
 }
 
 type buMapKey struct {
@@ -132,51 +209,62 @@ type tdMapKey struct {
 // signature counts degrade to hash lookups instead of huge allocations.
 const maxDenseEntries = 1 << 20
 
-func newBatchCache(src transSource) *BatchCache {
-	return &BatchCache{src: src, sigByRec: make([]int32, 1<<16), sigAux: map[uint64]int32{}}
+// NewBatchCache returns a private dense cache in front of the shared
+// engine, for one member of one run (or one worker of a parallel run).
+func (s *SharedEngine) NewBatchCache() *BatchCache {
+	c := &BatchCache{src: s, sigsLen: (int(tree.FirstNamedLabel) + s.e.names.Len()) << 2}
+	c.hintBU, c.hintSig, c.hintTD = s.sizes()
+	return c
 }
 
-// NewBatchCache returns a private dense cache in front of the shared
-// engine for one worker of a parallel batch run.
-func (s *SharedEngine) NewBatchCache() *BatchCache { return newBatchCache(s) }
+// recIndex maps a record's bits (storage.Record.Encode: two child flags
+// above a 14-bit label) to label<<2 | flags, so a table over the labels
+// the name table knows covers every record.
+func recIndex(rec uint16) int { return int(rec&0x3FFF)<<2 | int(rec>>14) }
 
-// SigID interns the signature given by a node's record bits (label and
-// child flags, storage.Record.Encode form), root-ness and aux mask,
-// returning a cache-local signature id for BUStep.
+// SigID returns the engine's signature id for the node given by its
+// record bits (label and child flags, storage.Record.Encode form),
+// root-ness and aux mask, for BUStep.
 func (c *BatchCache) SigID(rec uint16, root bool, extra uint16) int32 {
-	if !root && extra == 0 {
-		if s := c.sigByRec[rec]; s != 0 {
-			return s - 1
-		}
-		s := c.internSig(rec, root, extra)
-		c.sigByRec[rec] = s + 1
-		return s
-	}
-	key := uint64(rec) | uint64(extra)<<16
 	if root {
-		key |= 1 << 32
+		// Once per run: not worth a table slot.
+		return c.src.SigID(recSig(rec, true, extra))
 	}
-	if s, ok := c.sigAux[key]; ok {
-		return s
+	i := recIndex(rec)
+	if int(extra) < len(c.sigs) {
+		if row := c.sigs[extra]; i < len(row) {
+			if s := row[i]; s != 0 {
+				return s - 1
+			}
+		}
 	}
-	s := c.internSig(rec, root, extra)
-	c.sigAux[key] = s
+	for int(extra) >= len(c.sigs) {
+		c.sigs = append(c.sigs, nil)
+	}
+	row := c.sigs[extra]
+	if i >= len(row) {
+		// A label beyond the name table's size at creation only comes
+		// from a grown table; widen the row to hold it.
+		row = append(row, make([]int32, max(c.sigsLen, i+1)-len(row))...)
+		c.sigs[extra] = row
+	}
+	s := c.src.SigID(recSig(rec, false, extra))
+	row[i] = s + 1
 	return s
 }
 
-func (c *BatchCache) internSig(rec uint16, root bool, extra uint16) int32 {
+func recSig(rec uint16, root bool, extra uint16) edb.NodeSig {
 	r := storage.DecodeRecord(rec)
-	c.sigs = append(c.sigs, edb.NodeSig{
+	return edb.NodeSig{
 		Label:     tree.Label(r.Label),
 		HasFirst:  r.HasFirst,
 		HasSecond: r.HasSecond,
 		IsRoot:    root,
 		Extra:     extra,
-	})
-	return int32(len(c.sigs) - 1)
+	}
 }
 
-// BUStep is the cached δA on a local signature id.
+// BUStep is the cached δA on an engine signature id (SigID).
 func (c *BatchCache) BUStep(left, right StateID, sig int32) StateID {
 	l1, r1 := left+1, right+1
 	if l1 < c.dimS && r1 < c.dimS && sig < c.dimSig {
@@ -186,7 +274,7 @@ func (c *BatchCache) BUStep(left, right StateID, sig int32) StateID {
 	} else if id, ok := c.buMap[buMapKey{left, right, sig}]; ok {
 		return id
 	}
-	id := c.src.ReachableStates(left, right, c.sigs[sig])
+	id := c.src.ReachableStates(left, right, sig)
 	c.storeBU(left, right, sig, id)
 	return id
 }
@@ -194,7 +282,7 @@ func (c *BatchCache) BUStep(left, right StateID, sig int32) StateID {
 func (c *BatchCache) storeBU(left, right StateID, sig int32, id StateID) {
 	l1, r1 := left+1, right+1
 	if l1 >= c.dimS || r1 >= c.dimS || sig >= c.dimSig {
-		if !c.growBU(max32(l1, r1), sig) {
+		if !c.growBU(max(l1, r1), sig) {
 			if c.buMap == nil {
 				c.buMap = map[buMapKey]StateID{}
 			}
@@ -205,21 +293,28 @@ func (c *BatchCache) storeBU(left, right StateID, sig int32, id StateID) {
 	c.bu[(l1*c.dimS+r1)*c.dimSig+sig] = id + 1
 }
 
-// growBU widens the dense δA table to cover state needS and signature
-// needSig, reporting false when that would exceed the dense budget.
+// growDim returns the new size of a table dimension that must hold index
+// need: at least hint, doubling past it.
+func growDim(cur, need, hint int32) int32 {
+	n := max(cur, hint, 1)
+	for n <= need {
+		n *= 2
+	}
+	return n
+}
+
+// growBU widens the dense δA table to cover state index needS (state id
+// + 1) and signature needSig, reporting false when that would exceed the
+// dense budget. It sizes for the engine's whole automaton when that fits
+// the budget, else for what the run has met so far.
 func (c *BatchCache) growBU(needS StateID, needSig int32) bool {
-	newS, newSig := c.dimS, c.dimSig
-	if newS == 0 {
-		newS, newSig = 8, 8
-	}
-	for newS <= int32(needS) {
-		newS *= 2
-	}
-	for newSig <= needSig {
-		newSig *= 2
-	}
+	newS := growDim(c.dimS, needS, c.hintBU+1)
+	newSig := growDim(c.dimSig, needSig, c.hintSig)
 	if int64(newS)*int64(newS)*int64(newSig) > maxDenseEntries {
-		return false
+		newS, newSig = growDim(c.dimS, needS, 0), growDim(c.dimSig, needSig, 0)
+		if int64(newS)*int64(newS)*int64(newSig) > maxDenseEntries {
+			return false
+		}
 	}
 	nb := make([]StateID, int(newS)*int(newS)*int(newSig))
 	for l := int32(0); l < c.dimS; l++ {
@@ -248,15 +343,10 @@ func (c *BatchCache) TDStep(parent, bu StateID, k int) StateID {
 
 func (c *BatchCache) storeTD(parent, bu StateID, k int, id StateID) {
 	if parent >= c.dimP || bu >= c.dimB {
-		newP, newB := c.dimP, c.dimB
-		if newP == 0 {
-			newP, newB = 8, 8
-		}
-		for newP <= parent {
-			newP *= 2
-		}
-		for newB <= bu {
-			newB *= 2
+		newP := growDim(c.dimP, parent, c.hintTD)
+		newB := growDim(c.dimB, bu, c.hintBU)
+		if int64(newP)*int64(newB)*2 > maxDenseEntries {
+			newP, newB = growDim(c.dimP, parent, 0), growDim(c.dimB, bu, 0)
 		}
 		if int64(newP)*int64(newB)*2 > maxDenseEntries {
 			if c.tdMap == nil {
@@ -283,19 +373,12 @@ func (c *BatchCache) QueryMask(td StateID) uint64 {
 		return c.masks[td]
 	}
 	m := c.src.QueryMask(td)
-	for int(td) >= len(c.maskKnown) {
-		c.maskKnown = append(c.maskKnown, false)
-		c.masks = append(c.masks, 0)
+	if n := int(max(td+1, c.hintTD)); n > len(c.masks) {
+		c.masks = append(c.masks, make([]uint64, n-len(c.masks))...)
+		c.maskKnown = append(c.maskKnown, make([]bool, n-len(c.maskKnown))...)
 	}
-	c.maskKnown[td], c.masks[td] = true, m
+	c.masks[td], c.maskKnown[td] = m, true
 	return m
-}
-
-func max32(a, b StateID) StateID {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TreeBatchOpts configures an in-memory batch pass.
@@ -308,56 +391,81 @@ type TreeBatchOpts struct {
 	Index *storage.SubtreeIndex
 	// NoPrune disables pruning even when Index is available.
 	NoPrune bool
+	// KeepStates records every node's bottom-up and top-down state in the
+	// Result (BUStateOf/TDStateOf) of a batch of one. Kept runs never
+	// prune: the recorded states must be complete.
+	KeepStates bool
+	// Mark streams marked XML during phase 2 (see MarkOpts).
+	Mark MarkOpts
 	// Run, when non-nil, receives the pass's exact statistics across all
 	// members — deterministic per-run attribution even when batch
 	// executions overlap on shared engines.
 	Run *RunStats
 }
 
+// Check rejects option combinations a pass over members cannot honour.
+func (o TreeBatchOpts) Check(members []BatchMember) error {
+	if o.KeepStates && len(members) != 1 {
+		return errors.New("core: KeepStates needs a batch of one")
+	}
+	return nil
+}
+
+// Prunable reports whether a pass over members with these options admits
+// selectivity-aware pruning.
+func (o TreeBatchOpts) Prunable(members []BatchMember) bool {
+	if o.NoPrune || o.KeepStates || o.Mark.To != nil {
+		return false
+	}
+	for _, bm := range members {
+		if bm.Aux != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // RunBatchTree evaluates every member's program over an in-memory tree in
-// one shared pair of passes: phase 1 walks the tree bottom-up once,
-// stepping all member automata per node; phase 2 top-down likewise. The
+// one shared pair of passes (Algorithm 4.6): phase 1 runs automaton A
+// bottom-up in reverse preorder — children of a node always follow it in
+// preorder, so one descending index loop is a bottom-up traversal —
+// stepping all member automata per node; phase 2 runs automaton B
+// top-down in one ascending loop likewise. Once the lazy transition
+// tables are warm, each step is a dense-table lookup (BatchCache). The
 // returned results (one per member, in member order) are identical to
-// running each member's engine alone. The aggregate Stats carries the
-// shared phase wall times; per-engine lazy-transition work lands in each
-// member engine's own Stats as usual. Cancelling ctx aborts the pass in
-// progress with ctx.Err().
-func RunBatchTree(ctx context.Context, t *tree.Tree, members []BatchMember, topts TreeBatchOpts) ([]*Result, Stats, error) {
+// running each member's engine alone. The shared phase wall times and
+// node visits land in every member engine's Stats and in topts.Run, like
+// each engine's own lazy-transition work. Cancelling ctx aborts the pass
+// in progress with ctx.Err().
+func RunBatchTree(ctx context.Context, t *tree.Tree, members []BatchMember, topts TreeBatchOpts) ([]*Result, error) {
 	var agg Stats
 	n := t.Len()
 	if n == 0 {
-		return nil, agg, errors.New("core: empty tree")
+		return nil, errors.New("core: empty tree")
 	}
 	nm := len(members)
 	if nm == 0 {
-		return nil, agg, errors.New("core: empty batch")
+		return nil, errors.New("core: empty batch")
+	}
+	if err := topts.Check(members); err != nil {
+		return nil, err
 	}
 	cancel := storage.NewCanceller(ctx)
 	res := make([]*Result, nm)
 	caches := make([]*BatchCache, nm)
-	prunable := !topts.NoPrune
 	engines := make([]*Engine, nm)
 	for m, bm := range members {
 		res[m] = NewResult(bm.E.c.Prog, int64(n))
-		bm.E.AddNodes(int64(n))
-		topts.Run.AddNodes(int64(n))
-		caches[m] = newBatchCache(bm.E.ShareTo(topts.Run))
+		caches[m] = bm.E.ShareTo(topts.Run).NewBatchCache()
 		engines[m] = bm.E
-		if bm.Aux != nil {
-			prunable = false
-		}
 	}
 	var prune *PrunePlan
-	if prunable {
+	if topts.Prunable(members) {
 		prune = PlanPrune(engines, topts.Index, int64(n))
 	}
 	var exts []storage.Extent
 	if prune != nil {
 		exts = prune.Extents
-		for _, e := range engines {
-			e.AddPrunedNodes(prune.Nodes)
-			topts.Run.AddPrunedNodes(prune.Nodes)
-		}
 	}
 
 	// Phase 1: one bottom-up pass, all members per node.
@@ -366,7 +474,7 @@ func RunBatchTree(ctx context.Context, t *tree.Tree, members []BatchMember, topt
 	pe := len(exts) - 1
 	for v := n - 1; v >= 0; v-- {
 		if err := cancel.Step(); err != nil {
-			return nil, agg, err
+			return nil, err
 		}
 		if pe >= 0 && int64(v) == exts[pe].End()-1 {
 			x := exts[pe]
@@ -402,8 +510,10 @@ func RunBatchTree(ctx context.Context, t *tree.Tree, members []BatchMember, topt
 	}
 	agg.Phase1Time = time.Since(start)
 
-	// Phase 2: one top-down pass.
+	// Phase 2: one top-down pass, streaming marked XML alongside.
 	start = time.Now()
+	em := topts.Mark.emitter(t.Names())
+	markBit := uint64(1) << uint(topts.Mark.Query)
 	td := make([]StateID, n*nm)
 	for m := range members {
 		td[m] = caches[m].RootTrueSet(bu[m])
@@ -411,19 +521,26 @@ func RunBatchTree(ctx context.Context, t *tree.Tree, members []BatchMember, topt
 	pi := 0
 	for v := 0; v < n; v++ {
 		if err := cancel.Step(); err != nil {
-			return nil, agg, err
+			return nil, err
 		}
 		if pi < len(exts) && int64(v) == exts[pi].Root {
+			// Provably selection-free: nothing to mark, nothing below
+			// needs a top-down state.
 			v = int(exts[pi].End()) - 1 // the loop increment steps past
 			pi++
 			continue
 		}
 		first, second := t.First(tree.NodeID(v)), t.Second(tree.NodeID(v))
+		var selected bool
 		for m := range members {
 			c := caches[m]
 			tdv := td[v*nm+m]
-			if mask := c.QueryMask(tdv); mask != 0 {
+			mask := c.QueryMask(tdv)
+			if mask != 0 {
 				res[m].MarkMask(mask, int64(v))
+			}
+			if m == 0 {
+				selected = mask&markBit != 0
 			}
 			if first != tree.None {
 				td[int(first)*nm+m] = c.TDStep(tdv, bu[int(first)*nm+m], 1)
@@ -432,9 +549,28 @@ func RunBatchTree(ctx context.Context, t *tree.Tree, members []BatchMember, topt
 				td[int(second)*nm+m] = c.TDStep(tdv, bu[int(second)*nm+m], 2)
 			}
 		}
+		if em != nil {
+			rec := storage.Record{
+				Label:     uint16(t.Label(tree.NodeID(v))),
+				HasFirst:  first != tree.None,
+				HasSecond: second != tree.None,
+			}
+			if err := em.Node(int64(v), rec, selected); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if em != nil {
+		if err := em.Finish(); err != nil {
+			return nil, err
+		}
 	}
 	agg.Phase2Time = time.Since(start)
-	return res, agg, nil
+	if topts.KeepStates {
+		res[0].BUStateOf, res[0].TDStateOf = bu, td
+	}
+	AccountRun(members, topts.Run, int64(n), prune, agg)
+	return res, nil
 }
 
 // Widened state file: per node, one stateWidth-byte big-endian id per
@@ -483,7 +619,11 @@ func getState(b []byte, width int) StateID {
 // batchStateWidth picks the initial on-disk state width for the members'
 // engines, leaving headroom under each width's limit for states a run
 // interns as it goes; a mid-run overflow restarts the run at stateWide.
-func batchStateWidth(members []BatchMember) int {
+// Kept state files always use stateWide (DiskBatchOpts.KeepStateFile).
+func batchStateWidth(members []BatchMember, opts DiskBatchOpts) int {
+	if opts.KeepStateFile {
+		return stateWide
+	}
 	width := stateByte
 	for _, bm := range members {
 		switch n := bm.E.BUStateCount(); {
@@ -497,36 +637,39 @@ func batchStateWidth(members []BatchMember) int {
 }
 
 // RunDiskBatch evaluates every member's program over a .arb database in
-// secondary storage with exactly two linear scans of the data for the
-// whole batch: phase 1 is one backward scan streaming every member's
-// bottom-up state per node to one widened temporary state file; phase 2
-// is one forward scan reading that file backwards and computing each
-// member's true predicates. Auxiliary masks ride in widened sidecars with
-// one slot per member (DiskBatchOpts), so multi-pass members chain their
-// passes through shared scans too. Results are identical to running each
-// member through RunDiskContext alone. Cancelling ctx aborts the scan in
-// progress; a failed or cancelled run removes the state file and any
-// partially written AuxOut sidecar.
-func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
-	res, agg, ds, err := runDiskBatch(ctx, db, members, opts, batchStateWidth(members))
+// secondary storage using Algorithm 4.6 with exactly two linear scans of
+// the data for the whole batch (Proposition 5.1): phase 1 is one backward
+// scan streaming every member's bottom-up state per node to one widened
+// temporary state file; phase 2 is one forward scan reading that file
+// backwards — yielding the phase-1 states in preorder (the paper's
+// footnote 12) — and computing each member's true predicates. Main
+// memory holds only the automata (computed lazily), their dense caches
+// and a stack bounded by the depth of the XML document. Auxiliary masks
+// ride in widened sidecars with one slot per member (DiskBatchOpts), so
+// multi-pass members chain their passes through shared scans too.
+// Results are identical to running each member alone. Cancelling ctx
+// aborts the scan in progress; a failed or cancelled run removes the
+// state file and any partially written AuxOut sidecar.
+func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, *DiskStats, error) {
+	res, ds, err := runDiskBatch(ctx, db, members, opts, batchStateWidth(members, opts))
 	if errors.Is(err, errStateWidth) {
-		res, agg, ds, err = runDiskBatch(ctx, db, members, opts, stateWide)
+		res, ds, err = runDiskBatch(ctx, db, members, opts, stateWide)
 	}
-	return res, agg, ds, err
+	return res, ds, err
 }
 
-func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts, width int) ([]*Result, Stats, *DiskStats, error) {
+func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts, width int) ([]*Result, *DiskStats, error) {
 	var agg Stats
 	nm := len(members)
 	if nm == 0 {
-		return nil, agg, nil, errors.New("core: empty batch")
+		return nil, nil, errors.New("core: empty batch")
 	}
 	if db.N == 0 {
-		return nil, agg, nil, errors.New("core: empty database")
+		return nil, nil, errors.New("core: empty database")
 	}
 	for _, bm := range members {
 		if bm.E.names != db.Names {
-			return nil, agg, nil, errors.New("core: engine name table does not match database")
+			return nil, nil, errors.New("core: engine name table does not match database")
 		}
 	}
 	stride := nm * width
@@ -535,15 +678,18 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 	engines := make([]*Engine, nm)
 	for m, bm := range members {
 		res[m] = NewResult(bm.E.c.Prog, db.N)
-		caches[m] = newBatchCache(bm.E.ShareTo(opts.Run))
+		caches[m] = bm.E.ShareTo(opts.Run).NewBatchCache()
 		engines[m] = bm.E
 	}
 	ds := &DiskStats{StateBytes: db.N * int64(stride)}
 
 	// Selectivity-aware pruning: only extents every member proves
 	// irrelevant can be skipped, since the batch shares one scan pair.
+	// Sound only without aux input (aux bits vary per node), without
+	// marked output (every node must be emitted), and without a kept
+	// state file (a pruned file has holes where extents were skipped).
 	var prune *PrunePlan
-	if !opts.NoPrune && opts.AuxIn == "" && db.N >= PruneMinNodes {
+	if opts.prunable() && db.N >= PruneMinNodes {
 		if ix, ierr := db.Index(ctx, 0); ierr == nil {
 			prune = PlanPrune(engines, ix, db.N)
 		}
@@ -558,19 +704,22 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 		var err error
 		auxF, err = storage.OpenMaskFile(opts.AuxIn, db.N, opts.AuxInStride)
 		if err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
 		}
 		defer auxF.Close()
 	}
 
-	stateF, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.stb")
+	stateF, err := createStateFile(db)
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 	statePath := stateF.Name()
+	succeeded := false
 	defer func() {
 		stateF.Close()
-		os.Remove(statePath)
+		if !opts.KeepStateFile || !succeeded {
+			os.Remove(statePath)
+		}
 	}()
 
 	// Phase 1: one backward scan; every node steps all member automata
@@ -580,7 +729,7 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 	if auxF != nil {
 		auxBack, err = storage.MaskBackward(auxF, 0, db.N, opts.AuxInStride)
 		if err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
 		}
 		defer auxBack.Release()
 	}
@@ -629,16 +778,16 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 			return out
 		})
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 	if werr == nil {
 		werr = sw.flush()
 	}
 	if werr != nil {
 		if errors.Is(werr, errStateWidth) {
-			return nil, agg, nil, werr
+			return nil, nil, werr
 		}
-		return nil, agg, nil, fmt.Errorf("core: writing state file: %w", werr)
+		return nil, nil, fmt.Errorf("core: writing state file: %w", werr)
 	}
 	if prune != nil {
 		scan1.SkippedBytes += prune.Nodes * storage.NodeSize
@@ -651,20 +800,21 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 	start = time.Now()
 	br, err := storage.NewBackwardReader(stateF, db.N*int64(stride), stride)
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 	defer br.Release()
 	var auxFwd *bufio.Reader
 	if auxF != nil {
 		auxFwd = storage.MaskForward(auxF, 0, db.N, opts.AuxInStride)
 	}
-	succeeded := false
+	em := opts.Mark.emitter(db.Names)
+	markBit := uint64(1) << uint(opts.Mark.Query)
 	var auxOut *bufio.Writer
 	var auxOutF *os.File
 	if opts.AuxOut != "" {
 		auxOutF, err = os.Create(opts.AuxOut)
 		if err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
 		}
 		defer func() {
 			auxOutF.Close()
@@ -677,16 +827,7 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
 	outVec := make([]byte, storage.MaskStride(opts.AuxOutStride))
 
-	// Top-down states live in a depth-indexed arena: a node's vector is
-	// only ever needed by its descendants' visits, and no two live path
-	// entries share a depth, so the scan's S value can be the depth alone.
-	var arena [][]StateID
-	atDepth := func(d int32) []StateID {
-		for int(d) >= len(arena) {
-			arena = append(arena, make([]StateID, nm))
-		}
-		return arena[d]
-	}
+	arena := tdArena{nm: nm}
 	scan2, err := storage.ScanTopDownSkipping(ctx, db, pruneExts,
 		func(x storage.Extent, parent *int32, k int) error {
 			if err := br.Skip(x.Size); err != nil {
@@ -713,10 +854,12 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 					return 0, fmt.Errorf("core: parentless node %d", v)
 				}
 			} else {
-				d = *parent + 1
-				pvec = arena[*parent]
+				d = childDepth(*parent, k)
+				pvec = arena.at(*parent)
 			}
-			tvec := atDepth(d)
+			// A second child shares its parent's slot: each member's
+			// step reads the parent's state before overwriting it.
+			tvec := arena.at(d)
 			if auxFwd != nil {
 				if _, err := io.ReadFull(auxFwd, inVec); err != nil {
 					return 0, fmt.Errorf("core: reading aux file: %w", err)
@@ -727,6 +870,7 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 					outVec[i] = 0
 				}
 			}
+			var selected bool
 			for m, bm := range members {
 				bu := getState(b[m*width:], width)
 				c := caches[m]
@@ -744,6 +888,9 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 				if mask != 0 {
 					res[m].MarkMask(mask, v)
 				}
+				if m == 0 {
+					selected = mask&markBit != 0
+				}
 				if auxOut != nil && bm.AuxOutSlot >= 0 {
 					var cur uint16
 					if auxFwd != nil && bm.AuxInSlot >= 0 {
@@ -760,17 +907,27 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 					return 0, err
 				}
 			}
+			if em != nil {
+				if err := em.Node(v, rec, selected); err != nil {
+					return 0, err
+				}
+			}
 			return d, nil
 		})
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 	if auxOut != nil {
 		if err := auxOut.Flush(); err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
 		}
 		if err := auxOutF.Close(); err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
+		}
+	}
+	if em != nil {
+		if err := em.Finish(); err != nil {
+			return nil, nil, err
 		}
 	}
 	if prune != nil {
@@ -778,86 +935,114 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 	}
 	ds.Phase2 = scan2
 	agg.Phase2Time = time.Since(start)
-	// Count node visits only on success: a narrow-width restart re-enters
-	// this function and must not double-count the aborted attempt.
-	for _, bm := range members {
-		bm.E.AddNodes(db.N)
-		opts.Run.AddNodes(db.N)
-		if prune != nil {
-			bm.E.AddPrunedNodes(prune.Nodes)
-			opts.Run.AddPrunedNodes(prune.Nodes)
+	return finishDiskRun(members, opts, db.N, prune, agg, res, ds, statePath, &succeeded)
+}
+
+// finishDiskRun completes a successful disk run: it accounts the run
+// (only now, so a narrow-width restart or stale-index retry never
+// double-counts an aborted attempt), reports a kept state file, and
+// marks the run succeeded for the cleanup deferred by its caller.
+func finishDiskRun(members []BatchMember, opts DiskBatchOpts, n int64, plan *PrunePlan, agg Stats, res []*Result, ds *DiskStats, statePath string, succeeded *bool) ([]*Result, *DiskStats, error) {
+	AccountRun(members, opts.Run, n, plan, agg)
+	if opts.KeepStateFile {
+		for _, r := range res {
+			r.StateFile = statePath
 		}
 	}
-	succeeded = true
-	return res, agg, ds, nil
+	*succeeded = true
+	return res, ds, nil
+}
+
+// createStateFile creates a run's phase-1 state file: a unique temporary
+// file next to the database, so concurrent runs sharing a database
+// directory — kept or not — never clobber each other's state.
+func createStateFile(db *storage.DB) (*os.File, error) {
+	f, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.sta")
+	return f, err
 }
 
 // RunDiskBatchParallel is RunDiskBatch with a pool of workers streaming
-// disjoint chunk byte ranges, preserving the aggregate two-linear-scans
-// I/O bound exactly as RunDiskParallelContext does for one query: the
-// database's subtree index cuts a frontier of chunks, each worker runs
-// every member engine over its chunk through private dense caches backed
-// by the members' shared automata, and the leader scans the glue.
-// workers <= 0 uses GOMAXPROCS; small databases and single-worker
-// requests delegate to the sequential batch.
-func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
+// disjoint chunk byte ranges, preserving its structure and invariants:
+// phase 1 is one backward scan's worth of I/O streaming every node's
+// bottom-up states to the state file, phase 2 one forward scan's worth
+// computing the true predicates; memory per worker stays bounded by the
+// document depth (plus the shared automata); and the results are
+// identical to RunDiskBatch's.
+//
+// Parallelism comes from the preorder layout (Sections 6.2/7 of the
+// paper): every subtree is one contiguous byte range, so the database's
+// subtree index cuts the file into a frontier of chunks that workers
+// stream independently — each through its own buffered reader and
+// private dense caches backed by the members' shared automata, writing
+// its slice of the state file at its own offset — while the leader scans
+// the glue between chunks. On balanced trees (ACGT-infix) the phases
+// divide evenly; on degenerate right-deep trees (ACGT-flat) the frontier
+// collapses and evaluation degrades toward sequential.
+//
+// workers <= 0 uses GOMAXPROCS. Runs that stream marked XML are
+// inherently order-dependent and run sequentially, as do single-worker
+// requests and databases too small to be worth coordinating.
+func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts) ([]*Result, *DiskStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || db.N < parMinNodes {
+	if workers == 1 || db.N < parMinNodes || opts.Mark.To != nil {
 		return RunDiskBatch(ctx, db, members, opts)
 	}
 	if db.N == 0 {
-		return nil, Stats{}, nil, errors.New("core: empty database")
+		return nil, nil, errors.New("core: empty database")
 	}
 	for _, bm := range members {
 		if bm.E.names != db.Names {
-			return nil, Stats{}, nil, errors.New("core: engine name table does not match database")
+			return nil, nil, errors.New("core: engine name table does not match database")
 		}
 	}
 	idx, err := db.Index(ctx, 0)
 	if err != nil {
-		return nil, Stats{}, nil, err
+		return nil, nil, err
 	}
 	target := db.N / (int64(workers) * parTasksPerWorker)
-	run := func(idx *storage.SubtreeIndex) ([]*Result, Stats, *DiskStats, error, bool) {
+	run := func(idx *storage.SubtreeIndex) ([]*Result, *DiskStats, error, bool) {
 		tasks := idx.Cut(target, parMinTask)
 		if len(tasks) == 0 {
-			res, agg, ds, err := RunDiskBatch(ctx, db, members, opts)
-			return res, agg, ds, err, false
+			res, ds, err := RunDiskBatch(ctx, db, members, opts)
+			return res, ds, err, false
 		}
 		var plan *PrunePlan
-		if !opts.NoPrune && opts.AuxIn == "" {
+		if opts.prunable() {
 			engines := make([]*Engine, len(members))
 			for m, bm := range members {
 				engines[m] = bm.E
 			}
 			plan = PlanPrune(engines, idx, db.N)
 		}
-		res, agg, ds, err := runDiskBatchChunked(ctx, db, workers, members, opts, tasks, batchStateWidth(members), plan)
+		res, ds, err := runDiskBatchChunked(ctx, db, workers, members, opts, tasks, batchStateWidth(members, opts), plan)
 		if errors.Is(err, errStateWidth) {
-			res, agg, ds, err = runDiskBatchChunked(ctx, db, workers, members, opts, tasks, stateWide, plan)
+			res, ds, err = runDiskBatchChunked(ctx, db, workers, members, opts, tasks, stateWide, plan)
 		}
-		return res, agg, ds, err, true
+		return res, ds, err, true
 	}
-	res, agg, ds, err, chunked := run(idx)
+	res, ds, err, chunked := run(idx)
 	if chunked && err != nil && errors.Is(err, storage.ErrBadExtent) {
-		// Stale or foreign .idx sidecar: rebuild and retry once, exactly
-		// like the single-query parallel evaluator.
+		// A stale or foreign .idx sidecar (e.g. the .arb was replaced
+		// out-of-band by one of equal size) cut extents that don't match
+		// the data. Rebuild the index from the file and retry once; a
+		// genuinely malformed database fails the rebuild scan instead.
 		idx, rerr := db.RebuildIndex(ctx, 0)
 		if rerr != nil {
-			return nil, Stats{}, nil, rerr
+			return nil, nil, rerr
 		}
-		res, agg, ds, err, _ = run(idx)
+		res, ds, err, _ = run(idx)
 	}
-	return res, agg, ds, err
+	return res, ds, err
 }
 
 // runDiskBatchChunked is one attempt at chunk-parallel batch evaluation
-// over a frontier cut, pruning exactly as the single-query chunked
-// evaluator does: swallowed tasks never run, workers seek inside their
-// chunks, the leader skips the remaining pruned holes.
-func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts, tasks []storage.Extent, width int, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
+// over a frontier cut; RunDiskBatchParallel wraps it with the stale-index
+// retry. When a prune plan is given, tasks swallowed by a pruned extent
+// never run, workers seek past pruned extents inside their own chunks,
+// and the leader's glue scan skips the remaining pruned holes.
+func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts, tasks []storage.Extent, width int, plan *PrunePlan) ([]*Result, *DiskStats, error) {
 	var agg Stats
 	nm := len(members)
 	stride := nm * width
@@ -888,19 +1073,22 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		var err error
 		auxF, err = storage.OpenMaskFile(opts.AuxIn, db.N, opts.AuxInStride)
 		if err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
 		}
 		defer auxF.Close()
 	}
 
-	stateF, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.stb")
+	stateF, err := createStateFile(db)
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 	statePath := stateF.Name()
+	succeeded := false
 	defer func() {
 		stateF.Close()
-		os.Remove(statePath)
+		if !opts.KeepStateFile || !succeeded {
+			os.Remove(statePath)
+		}
 	}()
 
 	// Per-worker, per-member dense caches backed by the shared automata,
@@ -909,12 +1097,12 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	for w := range caches {
 		caches[w] = make([]*BatchCache, nm)
 		for m := range caches[w] {
-			caches[w][m] = newBatchCache(shared[m])
+			caches[w][m] = shared[m].NewBatchCache()
 		}
 	}
 	leader := make([]*BatchCache, nm)
 	for m := range leader {
-		leader[m] = newBatchCache(shared[m])
+		leader[m] = shared[m].NewBatchCache()
 	}
 
 	buVec := func(cs []*BatchCache, first, second *[]StateID, rec storage.Record, v int64, auxVec []byte, out []StateID, stateBuf []byte, werr *error) {
@@ -1004,7 +1192,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		return nil
 	})
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 
 	// Leader glue scan, reverse preorder over everything outside the
@@ -1069,16 +1257,16 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 			return out
 		})
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 	if werr == nil {
 		werr = lw.flush()
 	}
 	if werr != nil {
 		if errors.Is(werr, errStateWidth) {
-			return nil, agg, nil, werr
+			return nil, nil, werr
 		}
-		return nil, agg, nil, fmt.Errorf("core: writing state file: %w", werr)
+		return nil, nil, fmt.Errorf("core: writing state file: %w", werr)
 	}
 	scan1.SkippedBytes += leaderSkipped
 	scan1.Merge(phase1)
@@ -1088,12 +1276,11 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	// Phase 2, leader first: forward over the glue, assigning each chunk
 	// root its top-down entry vector.
 	start = time.Now()
-	succeeded := false
 	var auxOutF *os.File
 	if opts.AuxOut != "" {
 		auxOutF, err = os.Create(opts.AuxOut)
 		if err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
 		}
 		defer func() {
 			auxOutF.Close()
@@ -1137,13 +1324,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		}
 		return nil
 	}
-	var arena [][]StateID
-	atDepth := func(d int32) []StateID {
-		for int(d) >= len(arena) {
-			arena = append(arena, make([]StateID, nm))
-		}
-		return arena[d]
-	}
+	arena := tdArena{nm: nm}
 	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
 	outVec := make([]byte, strideOut)
 	nextGapNode := int64(-1)
@@ -1169,7 +1350,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					}
 					entry[m] = leader[m].RootTrueSet(bu)
 				} else {
-					entry[m] = leader[m].TDStep(arena[*parent][m], bu, k)
+					entry[m] = leader[m].TDStep(arena.at(*parent)[m], bu, k)
 				}
 			}
 			tdRoots[ti] = entry
@@ -1193,10 +1374,12 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					return 0, fmt.Errorf("core: parentless node %d", v)
 				}
 			} else {
-				d = *parent + 1
-				pvec = arena[*parent]
+				d = childDepth(*parent, k)
+				pvec = arena.at(*parent)
 			}
-			tvec := atDepth(d)
+			// A second child shares its parent's slot: each member's
+			// step reads the parent's state before overwriting it.
+			tvec := arena.at(d)
 			if auxFwd != nil {
 				if _, err := io.ReadFull(auxFwd, inVec); err != nil {
 					return 0, fmt.Errorf("core: reading aux file: %w", err)
@@ -1242,7 +1425,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 			return d, nil
 		})
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 
 	// Phase 2, workers: descend into the chunks from their entry vectors,
@@ -1272,13 +1455,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 				local[m][qi] = make([]uint64, words)
 			}
 		}
-		var arena [][]StateID
-		atDepth := func(d int32) []StateID {
-			for int(d) >= len(arena) {
-				arena = append(arena, make([]StateID, nm))
-			}
-			return arena[d]
-		}
+		arena := tdArena{nm: nm}
 		inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
 		outVec := make([]byte, strideOut)
 		var skipped int64
@@ -1301,10 +1478,10 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 			var d int32
 			var pvec []StateID
 			if parent != nil {
-				d = *parent + 1
-				pvec = arena[*parent]
+				d = childDepth(*parent, k)
+				pvec = arena.at(*parent)
 			}
-			tvec := atDepth(d)
+			tvec := arena.at(d)
 			if auxFwd != nil {
 				if _, err := io.ReadFull(auxFwd, inVec); err != nil {
 					return 0, fmt.Errorf("core: reading aux file: %w", err)
@@ -1374,31 +1551,48 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		return nil
 	})
 	if err != nil {
-		return nil, agg, nil, err
+		return nil, nil, err
 	}
 	if werr := auxOut.flush(); werr != nil {
-		return nil, agg, nil, werr
+		return nil, nil, werr
 	}
 	if auxOutF != nil {
 		if err := auxOutF.Close(); err != nil {
-			return nil, agg, nil, err
+			return nil, nil, err
 		}
 	}
 	scan2.SkippedBytes += leaderSkipped2
 	ds.Phase2 = scan2
 	agg.Phase2Time = time.Since(start)
-	// Count node visits only on success: a narrow-width restart re-enters
-	// this function and must not double-count the aborted attempt.
-	for _, bm := range members {
-		bm.E.AddNodes(db.N)
-		opts.Run.AddNodes(db.N)
-		if plan != nil {
-			bm.E.AddPrunedNodes(plan.Nodes)
-			opts.Run.AddPrunedNodes(plan.Nodes)
-		}
+	return finishDiskRun(members, opts, db.N, plan, agg, res, ds, statePath, &succeeded)
+}
+
+// tdArena holds the top-down state vectors a forward scan still needs,
+// indexed by document depth: a node's vector is read by its first child
+// (one level deeper) and by its second child — its next sibling, at the
+// same depth, which reuses the slot once its own step has read it. The
+// scan's S value is the node's depth, so memory stays bounded by the
+// document depth (Proposition 5.1), not by the depth of the binary
+// encoding, which grows with every sibling chain.
+type tdArena struct {
+	nm   int
+	vecs [][]StateID
+}
+
+// at returns the vector of depth d.
+func (a *tdArena) at(d int32) []StateID {
+	for int(d) >= len(a.vecs) {
+		a.vecs = append(a.vecs, make([]StateID, a.nm))
 	}
-	succeeded = true
-	return res, agg, ds, nil
+	return a.vecs[d]
+}
+
+// childDepth is the depth of the k-th child of a node at depth d.
+func childDepth(d int32, k int) int32 {
+	if k == 1 {
+		return d + 1
+	}
+	return d
 }
 
 // takeVec hands the bottom-up fold an output vector, recycling popped

@@ -13,8 +13,7 @@ import (
 	"arb/internal/tree"
 )
 
-// batchEngines compiles count random programs into fresh engines plus the
-// parallel scalar results to compare against.
+// batchPrograms draws count random programs.
 func batchPrograms(t *testing.T, rng *rand.Rand, count int) []*tmnf.Program {
 	t.Helper()
 	progs := make([]*tmnf.Program, count)
@@ -38,8 +37,9 @@ func batchMembers(t *testing.T, progs []*tmnf.Program, names *tree.Names) []Batc
 }
 
 // TestBatchMatchesScalarAndNaive is the core-level differential test: the
-// three batch strategies select bit-identical nodes to per-program scalar
-// runs and to the naive fixpoint oracle, on random trees and programs.
+// three batch strategies and per-program solo runs (batches of one, the
+// way a single query executes) each select exactly the nodes the naive
+// fixpoint oracle does, on random trees and programs.
 func TestBatchMatchesScalarAndNaive(t *testing.T) {
 	lowerParallelKnobs(t)
 	rng := rand.New(rand.NewSource(2024))
@@ -53,44 +53,37 @@ func TestBatchMatchesScalarAndNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Scalar reference runs, one engine per program.
-		want := make([]*Result, len(progs))
+		// Solo runs, one engine per program, against the oracle.
+		want := make([]*naive.Result, len(progs))
 		for i, prog := range progs {
+			want[i] = naive.Evaluate(tr, prog)
 			c, err := Compile(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i], err = NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{})
+			solo, err := runTree(NewEngine(c, db.Names), tr, TreeBatchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sameResults(t, prog, tr.Len(), solo, want[i], "solo vs naive")
 		}
 
-		memRes, _, err := RunBatchTree(ctx, tr, batchMembers(t, progs, db.Names), TreeBatchOpts{})
+		memRes, err := RunBatchTree(ctx, tr, batchMembers(t, progs, db.Names), TreeBatchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		diskRes, _, ds, err := RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{})
+		diskRes, ds, err := RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parRes, _, pds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{})
+		parRes, pds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, prog := range progs {
-			sameResults(t, prog, tr.Len(), memRes[i], want[i], "batch-memory vs scalar")
-			sameResults(t, prog, tr.Len(), diskRes[i], want[i], "batch-disk vs scalar")
-			sameResults(t, prog, tr.Len(), parRes[i], want[i], "batch-parallel-disk vs scalar")
-			oracle := naive.Evaluate(tr, prog)
-			for _, q := range prog.Queries() {
-				for v := 0; v < tr.Len(); v++ {
-					if g, w := memRes[i].Holds(q, tree.NodeID(v)), oracle.Holds(q, tree.NodeID(v)); g != w {
-						t.Fatalf("iter %d member %d: batch %s(%d)=%v, naive %v\nprogram:\n%s",
-							iter, i, prog.PredName(q), v, g, w, prog)
-					}
-				}
-			}
+			sameResults(t, prog, tr.Len(), memRes[i], want[i], "batch-memory vs naive")
+			sameResults(t, prog, tr.Len(), diskRes[i], want[i], "batch-disk vs naive")
+			sameResults(t, prog, tr.Len(), parRes[i], want[i], "batch-parallel-disk vs naive")
 		}
 
 		// One aggregate pair of linear scans for the whole batch, however
@@ -108,8 +101,8 @@ func TestBatchMatchesScalarAndNaive(t *testing.T) {
 	}
 }
 
-// TestBatchWideStateFallback forces the narrow->wide state width restart
-// and checks the run still agrees with the scalar result.
+// TestBatchWideStateFallback forces the wide state layout and checks the
+// run still agrees with the naive oracle.
 func TestBatchWideStateFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := testutil.RandomTree(rng, 300)
@@ -124,10 +117,6 @@ func TestBatchWideStateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewEngine(c, db.Names).RunContext(context.Background(), tr, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := NewEngine(c, db.Names)
 	// An engine that already interned states near the 16-bit limit makes
 	// batchStateWidth pick the wide layout up front.
@@ -135,12 +124,12 @@ func TestBatchWideStateFallback(t *testing.T) {
 		e.buStates = append(e.buStates, nil)
 	}
 	members := []BatchMember{{E: e, AuxInSlot: -1, AuxOutSlot: -1}}
-	if batchStateWidth(members) != stateWide {
+	if batchStateWidth(members, DiskBatchOpts{}) != stateWide {
 		t.Fatal("padded engine did not select the wide state layout")
 	}
-	res, _, _, err := RunDiskBatch(context.Background(), db, members, DiskBatchOpts{})
+	res, _, err := RunDiskBatch(context.Background(), db, members, DiskBatchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, prog, tr.Len(), res[0], want, "wide-state batch vs scalar")
+	sameResults(t, prog, tr.Len(), res[0], naive.Evaluate(tr, prog), "wide-state batch vs naive")
 }

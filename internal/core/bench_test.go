@@ -33,13 +33,13 @@ func BenchmarkRunWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := NewEngine(c, t.Names())
-	if _, err := e.Run(t, RunOpts{}); err != nil {
+	if _, err := runTree(e, t, TreeBatchOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(t.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(t, RunOpts{}); err != nil {
+		if _, err := runTree(e, t, TreeBatchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkRunCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(c, t.Names())
-		if _, err := e.Run(t, RunOpts{}); err != nil {
+		if _, err := runTree(e, t, TreeBatchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkRunDisk(b *testing.B) {
 	b.SetBytes(db.N * storage.NodeSize * 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunDisk(db, DiskOpts{}); err != nil {
+		if _, _, err := runDisk(e, db, 1, DiskBatchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func BenchmarkTransitionCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(c, t.Names())
-		if _, err := e.Run(t, RunOpts{}); err != nil {
+		if _, err := runTree(e, t, TreeBatchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -98,7 +98,7 @@ func TestExample45Residuals(t *testing.T) {
 	}
 	tr := chainA(t)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{KeepStates: true})
+	res, err := runTree(e, tr, TreeBatchOpts{KeepStates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestExample47TruePreds(t *testing.T) {
 	}
 	tr := chainA(t)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{KeepStates: true})
+	res, err := runTree(e, tr, TreeBatchOpts{KeepStates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestExample47TruePreds(t *testing.T) {
 	// Re-run with query set.
 	c2, _ := Compile(p)
 	e2 := NewEngine(c2, tr.Names())
-	res2, err := e2.Run(tr, RunOpts{})
+	res2, err := runTree(e2, tr, TreeBatchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func evalBoth(t *testing.T, tr *tree.Tree, p *tmnf.Program) bool {
 		t.Fatalf("compile: %v", err)
 	}
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := runTree(e, tr, TreeBatchOpts{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -292,7 +292,7 @@ Odd  :- SFROdd.invFirstChild;
 			t.Fatal(err)
 		}
 		e := NewEngine(c, tr.Names())
-		res, err := e.Run(tr, RunOpts{})
+		res, err := runTree(e, tr, TreeBatchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestSingleNodeTree(t *testing.T) {
 	p := tmnf.MustParse(`QUERY :- Root, Leaf, LastSibling;`)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := runTree(e, tr, TreeBatchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestEmptyTreeRejected(t *testing.T) {
 	p := tmnf.MustParse(`QUERY :- Root;`)
 	c, _ := Compile(p)
 	e := NewEngine(c, tree.NewNames())
-	if _, err := e.Run(tree.New(nil), RunOpts{}); err == nil {
+	if _, err := runTree(e, tree.New(nil), TreeBatchOpts{}); err == nil {
 		t.Error("empty tree accepted")
 	}
 }
@@ -372,11 +372,11 @@ func TestTransitionCacheReuse(t *testing.T) {
 	p := testutil.RandomProgramParsed(rng, 4, 10)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	if _, err := e.Run(tr, RunOpts{}); err != nil {
+	if _, err := runTree(e, tr, TreeBatchOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	s1 := e.Stats()
-	if _, err := e.Run(tr, RunOpts{}); err != nil {
+	if _, err := runTree(e, tr, TreeBatchOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e.Stats()
@@ -391,7 +391,7 @@ func TestStatsPopulated(t *testing.T) {
 	p := tmnf.MustParse(example43)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	if _, err := e.Run(tr, RunOpts{}); err != nil {
+	if _, err := runTree(e, tr, TreeBatchOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -410,7 +410,7 @@ func TestResultWalkAndCount(t *testing.T) {
 	p := tmnf.MustParse(`QUERY :- Label[a];`)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := runTree(e, tr, TreeBatchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,28 @@ import (
 	"arb/internal/tree"
 )
 
+// runDisk evaluates e over db as a batch of one — the way every single
+// query runs — with the given worker count (1 = the sequential scans).
+func runDisk(e *Engine, db *storage.DB, workers int, opts DiskBatchOpts) (*Result, *DiskStats, error) {
+	res, ds, err := RunDiskBatchParallel(context.Background(), db, workers, Solo(e), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res[0], ds, nil
+}
+
+// runTree evaluates e over an in-memory tree as a batch of one.
+func runTree(e *Engine, t *tree.Tree, opts TreeBatchOpts) (*Result, error) {
+	res, err := RunBatchTree(context.Background(), t, Solo(e), opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // diskRun builds a temporary .arb database from t and evaluates prog over
-// it with RunDisk.
-func diskRun(tb testing.TB, t *tree.Tree, prog *tmnf.Program, opts DiskOpts) (*Result, *DiskStats, *storage.DB) {
+// it with the sequential disk kernel.
+func diskRun(tb testing.TB, t *tree.Tree, prog *tmnf.Program, opts DiskBatchOpts) (*Result, *DiskStats, *storage.DB) {
 	tb.Helper()
 	base := filepath.Join(tb.TempDir(), "db")
 	db, err := storage.CreateFromTree(base, t)
@@ -29,43 +48,33 @@ func diskRun(tb testing.TB, t *tree.Tree, prog *tmnf.Program, opts DiskOpts) (*R
 	if err != nil {
 		tb.Fatalf("Compile: %v", err)
 	}
-	e := NewEngine(c, db.Names)
-	res, ds, err := e.RunDisk(db, opts)
+	res, ds, err := runDisk(NewEngine(c, db.Names), db, 1, opts)
 	if err != nil {
-		tb.Fatalf("RunDisk: %v", err)
+		tb.Fatalf("RunDiskBatch: %v", err)
 	}
 	return res, ds, db
 }
 
+// TestRunDiskMatchesMemoryAndNaive checks the disk and in-memory kernels
+// each against the naive oracle.
 func TestRunDiskMatchesMemoryAndNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 40; iter++ {
 		tr := testutil.RandomTree(rng, 60)
 		prog := testutil.RandomProgramParsed(rng, 4, 8)
-		res, _, _ := diskRun(t, tr, prog, DiskOpts{})
+		res, _, _ := diskRun(t, tr, prog, DiskBatchOpts{})
 
 		want := naive.Evaluate(tr, prog)
 		c, err := Compile(prog)
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
-		e := NewEngine(c, tr.Names())
-		mem, err := e.Run(tr, RunOpts{})
+		mem, err := runTree(NewEngine(c, tr.Names()), tr, TreeBatchOpts{})
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("RunBatchTree: %v", err)
 		}
-		for _, q := range prog.Queries() {
-			for v := 0; v < tr.Len(); v++ {
-				id := tree.NodeID(v)
-				if got, exp := res.Holds(q, id), want.Holds(q, id); got != exp {
-					t.Fatalf("iter %d: disk: %s(%d)=%v, naive %v\nprogram:\n%s\ntree:\n%s",
-						iter, prog.PredName(q), v, got, exp, prog, tr)
-				}
-				if got, exp := res.Holds(q, id), mem.Holds(q, id); got != exp {
-					t.Fatalf("iter %d: disk %v != memory %v at %s(%d)", iter, got, exp, prog.PredName(q), v)
-				}
-			}
-		}
+		sameResults(t, prog, tr.Len(), res, want, "disk vs naive")
+		sameResults(t, prog, tr.Len(), mem, want, "memory vs naive")
 	}
 }
 
@@ -86,7 +95,7 @@ func TestRunDiskStackBoundedByDepth(t *testing.T) {
 		prev = n
 	}
 	prog := tmnf.MustParse(`QUERY :- Label[a], LastSibling;`)
-	res, ds, _ := diskRun(t, tr, prog, DiskOpts{})
+	res, ds, _ := diskRun(t, tr, prog, DiskBatchOpts{})
 	if n := res.Count(prog.Queries()[0]); n != 1 {
 		t.Fatalf("selected %d nodes, want 1", n)
 	}
@@ -116,28 +125,40 @@ func TestRunDiskStateFile(t *testing.T) {
 	e := NewEngine(cpl, db.Names)
 
 	// KeepStateFile retains a uniquely named state file with 4 bytes per
-	// node, reported as Result.StateFile.
-	res, ds, err := e.RunDisk(db, DiskOpts{KeepStateFile: true})
+	// node, reported as Result.StateFile, holding every node's bottom-up
+	// state in reverse preorder — the in-memory kernel's BUStateOf.
+	want, err := runTree(e, tr, TreeBatchOpts{KeepStates: true})
 	if err != nil {
-		t.Fatalf("RunDisk: %v", err)
+		t.Fatal(err)
 	}
-	if res.StateFile == "" {
-		t.Fatal("KeepStateFile run did not report Result.StateFile")
-	}
-	st, err := os.Stat(res.StateFile)
-	if err != nil {
-		t.Fatalf("state file not kept: %v", err)
-	}
-	if st.Size() != db.N*stateIDSize || ds.StateBytes != st.Size() {
-		t.Fatalf("state file size %d, want %d (stats say %d)", st.Size(), db.N*stateIDSize, ds.StateBytes)
+	for _, workers := range []int{1, 2} {
+		res, ds, err := runDisk(e, db, workers, DiskBatchOpts{KeepStateFile: true})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if res.StateFile == "" {
+			t.Fatal("KeepStateFile run did not report Result.StateFile")
+		}
+		data, err := os.ReadFile(res.StateFile)
+		if err != nil {
+			t.Fatalf("state file not kept: %v", err)
+		}
+		if int64(len(data)) != db.N*stateWide || ds.StateBytes != int64(len(data)) {
+			t.Fatalf("state file size %d, want %d (stats say %d)", len(data), db.N*stateWide, ds.StateBytes)
+		}
+		for v := int64(0); v < db.N; v++ {
+			if got := getState(data[(db.N-1-v)*stateWide:], stateWide); got != want.BUStateOf[v] {
+				t.Fatalf("workers %d: state file holds %d for node %d, memory run %d", workers, got, v, want.BUStateOf[v])
+			}
+		}
+		os.Remove(res.StateFile)
 	}
 
 	// Default: the state file is removed after the run and no path is
 	// reported.
-	os.Remove(res.StateFile)
-	res2, _, err := e.RunDisk(db, DiskOpts{})
+	res2, _, err := runDisk(e, db, 1, DiskBatchOpts{})
 	if err != nil {
-		t.Fatalf("RunDisk: %v", err)
+		t.Fatalf("RunDiskBatch: %v", err)
 	}
 	if res2.StateFile != "" {
 		t.Fatalf("default run reported state file %s", res2.StateFile)
@@ -168,8 +189,10 @@ func TestRunDiskRejectsForeignNames(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	e := NewEngine(c, tree.NewNames()) // wrong table
-	if _, _, err := e.RunDisk(db, DiskOpts{}); err == nil {
-		t.Fatal("RunDisk accepted mismatched name table")
+	for _, workers := range []int{1, 2} {
+		if _, _, err := runDisk(e, db, workers, DiskBatchOpts{}); err == nil {
+			t.Fatalf("workers %d: run accepted mismatched name table", workers)
+		}
 	}
 }
 
@@ -190,28 +213,29 @@ func TestRunDiskFailureInjection(t *testing.T) {
 	}
 	e := NewEngine(c, db.Names)
 
-	// State file in a directory that does not exist.
-	if _, _, err := e.RunDisk(db, DiskOpts{StatePath: filepath.Join(t.TempDir(), "no", "such", "dir", "x.sta")}); err == nil {
-		t.Fatal("RunDisk succeeded with an uncreatable state file")
-	}
-
-	// Corrupted state file cross-check: run once keeping the state file,
-	// truncate the database underneath a mismatched state file.
-	if _, _, err := e.RunDisk(db, DiskOpts{KeepStateFile: true}); err != nil {
+	// A kept state file survives the run; a failed run removes its own.
+	res, _, err := runDisk(e, db, 1, DiskBatchOpts{KeepStateFile: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite the .arb with a different (single-node) tree while the
-	// two-node state file is still around: phase 2's root-state check
-	// must catch the mismatch rather than return garbage.
-	tr2 := tree.New(db.Names)
-	tr2.AddNode(db.Names.MustIntern("a"))
-	db2, err := storage.CreateFromTree(base+"2", tr2)
+	os.Remove(res.StateFile)
+
+	// State file in a directory that no longer exists: the database was
+	// opened, then its directory removed underneath it.
+	gone := filepath.Join(t.TempDir(), "gone")
+	if err := os.Mkdir(gone, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := storage.CreateFromTree(filepath.Join(gone, "db"), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if _, _, err := e.RunDisk(db2, DiskOpts{StatePath: base + ".sta"}); err == nil {
-		t.Fatal("RunDisk accepted a stale state file") // the .sta is 8 bytes, db2 has 1 node
+	if err := os.RemoveAll(gone); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runDisk(NewEngine(c, db2.Names), db2, 1, DiskBatchOpts{KeepStateFile: true}); err == nil {
+		t.Fatal("run succeeded with an uncreatable state file")
 	}
 }
 
@@ -233,10 +257,11 @@ func TestRunDiskMarkedOutputInPhase2(t *testing.T) {
 		}
 		e := NewEngine(c, db.Names)
 		var inPhase bytes.Buffer
-		res, _, err := e.RunDisk(db, DiskOpts{MarkTo: &inPhase})
+		res, _, err := runDisk(e, db, 1, DiskBatchOpts{Mark: MarkOpts{To: &inPhase}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sameResults(t, prog, tr.Len(), res, naive.Evaluate(tr, prog), "marked run vs naive")
 		var separate bytes.Buffer
 		q := prog.Queries()[0]
 		if err := storage.EmitXMLContext(context.Background(), db, &separate, func(v int64) bool {

@@ -81,9 +81,9 @@ func (s Stats) Sub(o Stats) Stats {
 // reused across nodes and across trees (footnote 15 of the paper).
 //
 // Concurrency: the engine's caches are guarded by one RWMutex, and every
-// evaluation driver reaches them through a SharedEngine view (Share) or a
-// per-run TxCache/BatchCache in front of one — so any number of runs of
-// one engine may overlap, and transitions computed by one run serve all.
+// evaluation driver reaches them through a per-run dense BatchCache in
+// front of a SharedEngine view (ShareTo) — so any number of runs of one
+// engine may overlap, and transitions computed by one run serve all.
 // The raw transition methods (ReachableStates, TruePreds, ...) do not
 // lock; they are for callers that hold mu or own the engine exclusively.
 type Engine struct {
@@ -173,27 +173,13 @@ func (e *Engine) ResetStats() {
 	e.mu.Unlock()
 }
 
-// AddNodes records n node visits in the engine's statistics; evaluators
-// outside this package (the parallel batch runner) call it once up front
-// because they only touch the engine through its SharedEngine afterwards.
-func (e *Engine) AddNodes(n int64) {
+// addRun records one completed run in the engine's cumulative
+// statistics: its node visits, the nodes pruning skipped, and its phase
+// wall times.
+func (e *Engine) addRun(nodes, pruned int64, p1, p2 time.Duration) {
 	e.mu.Lock()
-	e.stats.Nodes += n
-	e.mu.Unlock()
-}
-
-// AddPrunedNodes records n pruned node visits (see Stats.PrunedNodes);
-// the external parallel evaluators call it when they apply a prune plan.
-func (e *Engine) AddPrunedNodes(n int64) {
-	e.mu.Lock()
-	e.stats.PrunedNodes += n
-	e.mu.Unlock()
-}
-
-// addPhaseTimes folds one run's phase wall times into the engine's
-// cumulative statistics.
-func (e *Engine) addPhaseTimes(p1, p2 time.Duration) {
-	e.mu.Lock()
+	e.stats.Nodes += nodes
+	e.stats.PrunedNodes += pruned
 	e.stats.Phase1Time += p1
 	e.stats.Phase2Time += p2
 	e.mu.Unlock()

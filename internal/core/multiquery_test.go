@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -31,7 +33,7 @@ func TestMultipleQueriesOneRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := NewEngine(c, tr.Names())
-		res, err := e.Run(tr, RunOpts{})
+		res, err := runTree(e, tr, TreeBatchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +82,7 @@ func TestSixtyFourQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := runTree(e, tr, TreeBatchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +96,9 @@ func TestSixtyFourQueries(t *testing.T) {
 }
 
 // TestAuxPredicatesDifferential checks the Section 7 auxiliary-labeling
-// mechanism against a rewritten program where the auxiliary predicate is
-// inlined as a label test.
+// mechanism against the naive oracle over the same labeling, and against
+// a rewritten program where the auxiliary predicate is inlined as a label
+// test.
 func TestAuxPredicatesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for iter := 0; iter < 20; iter++ {
@@ -127,14 +130,16 @@ func TestAuxPredicatesDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewEngine(c, tr.Names())
-			res, err := e.Run(tr, RunOpts{Aux: auxFn})
+			res, err := RunBatchTree(context.Background(), tr, []BatchMember{
+				{E: NewEngine(c, tr.Names()), Aux: auxFn, AuxInSlot: -1, AuxOutSlot: -1},
+			}, TreeBatchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res[0]
 		}
 		got := run(withAux, aux)
+		sameResults(t, withAux, tr.Len(), got, naive.EvaluateAux(tr, withAux, aux), fmt.Sprintf("iter %d: aux vs naive", iter))
 		want := run(inlined, nil)
 		for v := 0; v < tr.Len(); v++ {
 			if got.Holds(withAux.Queries()[0], tree.NodeID(v)) != want.Holds(inlined.Queries()[0], tree.NodeID(v)) {
@@ -162,7 +167,7 @@ func TestResidualStatesBeatPowerset(t *testing.T) {
 	e := NewEngine(c, names)
 	for i := 0; i < 30; i++ {
 		tr := testutil.RandomTreeWithNames(rng, names, 300)
-		if _, err := e.Run(tr, RunOpts{}); err != nil {
+		if _, err := runTree(e, tr, TreeBatchOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,8 +20,9 @@ import (
 	"arb/internal/workload"
 )
 
-// lowerParallelKnobs makes RunDiskParallel take the real parallel path on
-// tiny trees so the property tests exercise the chunked machinery.
+// lowerParallelKnobs makes RunDiskBatchParallel take the real parallel
+// path on tiny trees so the property tests exercise the chunked
+// machinery.
 func lowerParallelKnobs(t *testing.T) {
 	t.Helper()
 	minNodes, minTask := parMinNodes, parMinTask
@@ -27,20 +30,31 @@ func lowerParallelKnobs(t *testing.T) {
 	t.Cleanup(func() { parMinNodes, parMinTask = minNodes, minTask })
 }
 
-// sameResults asserts two results select bit-identical node sets for
-// every query of prog.
-func sameResults(t *testing.T, prog *tmnf.Program, n int, got, want *Result, label string) {
+// oracle is the read side every evaluator's result shares: the kernel's
+// Result and the naive fixpoint's.
+type oracle interface {
+	Holds(q tmnf.Pred, v tree.NodeID) bool
+}
+
+// sameResults asserts got selects exactly the nodes want does, for every
+// query of prog, and that its eager counts agree.
+func sameResults(t *testing.T, prog *tmnf.Program, n int, got *Result, want oracle, label string) {
 	t.Helper()
 	for _, q := range prog.Queries() {
-		if got.Count(q) != want.Count(q) {
-			t.Fatalf("%s: %s selected %d nodes, want %d\nprogram:\n%s",
-				label, prog.PredName(q), got.Count(q), want.Count(q), prog)
-		}
+		var count int64
 		for v := 0; v < n; v++ {
 			id := tree.NodeID(v)
-			if g, w := got.Holds(q, id), want.Holds(q, id); g != w {
+			g, w := got.Holds(q, id), want.Holds(q, id)
+			if g != w {
 				t.Fatalf("%s: %s(%d)=%v, want %v\nprogram:\n%s", label, prog.PredName(q), v, g, w, prog)
 			}
+			if w {
+				count++
+			}
+		}
+		if got.Count(q) != count {
+			t.Fatalf("%s: %s counted %d nodes, selected %d\nprogram:\n%s",
+				label, prog.PredName(q), got.Count(q), count, prog)
 		}
 	}
 }
@@ -61,12 +75,9 @@ func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 7} {
-			par, ds, err := NewEngine(c, db.Names).RunDiskParallel(db, workers, DiskOpts{})
+		want := naive.Evaluate(tr, prog)
+		for _, workers := range []int{1, 2, 4, 7} {
+			got, ds, err := runDisk(NewEngine(c, db.Names), db, workers, DiskBatchOpts{})
 			if err != nil {
 				t.Fatalf("iter %d workers %d: %v", iter, workers, err)
 			}
@@ -74,22 +85,7 @@ func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
 				t.Fatalf("iter %d workers %d: scans visited %d/%d nodes, want %d each",
 					iter, workers, ds.Phase1.Nodes, ds.Phase2.Nodes, db.N)
 			}
-			sameResults(t, prog, tr.Len(), par, seq, "parallel vs sequential")
-		}
-
-		want := naive.Evaluate(tr, prog)
-		par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range prog.Queries() {
-			for v := 0; v < tr.Len(); v++ {
-				id := tree.NodeID(v)
-				if g, w := par.Holds(q, id), want.Holds(q, id); g != w {
-					t.Fatalf("iter %d: parallel %s(%d)=%v, naive %v\nprogram:\n%s\ntree:\n%s",
-						iter, prog.PredName(q), v, g, w, prog, tr)
-				}
-			}
+			sameResults(t, prog, tr.Len(), got, want, fmt.Sprintf("iter %d workers %d vs naive", iter, workers))
 		}
 		db.Close()
 	}
@@ -125,15 +121,14 @@ func TestRunDiskParallelRightDeepChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
+	want := naive.Evaluate(tr, prog)
+	for _, workers := range []int{1, 4} {
+		got, _, err := runDisk(NewEngine(c, db.Names), db, workers, DiskBatchOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, prog, tr.Len(), got, want, fmt.Sprintf("chain, workers %d", workers))
 	}
-	par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, prog, tr.Len(), par, seq, "chain")
 }
 
 func TestRunDiskParallelLargeBalancedDefaults(t *testing.T) {
@@ -158,23 +153,24 @@ func TestRunDiskParallelLargeBalancedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
+	want := naive.Evaluate(tr, prog)
+	for _, workers := range []int{1, 4} {
+		got, ds, err := runDisk(NewEngine(c, db.Names), db, workers, DiskBatchOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Phase1.Nodes != db.N || ds.Phase2.Nodes != db.N {
+			t.Fatalf("scans visited %d/%d nodes, want %d each", ds.Phase1.Nodes, ds.Phase2.Nodes, db.N)
+		}
+		sameResults(t, prog, tr.Len(), got, want, fmt.Sprintf("infix, workers %d", workers))
 	}
-	par, ds, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Phase1.Nodes != db.N || ds.Phase2.Nodes != db.N {
-		t.Fatalf("scans visited %d/%d nodes, want %d each", ds.Phase1.Nodes, ds.Phase2.Nodes, db.N)
-	}
-	sameResults(t, prog, tr.Len(), par, seq, "infix")
 }
 
 func TestRunDiskParallelAuxFiles(t *testing.T) {
-	// The aux sidecar pipeline (XPath negation's disk path) must produce
-	// byte-identical aux output under parallel evaluation.
+	// The aux sidecar pipeline (XPath negation's disk path) must select
+	// what the naive oracle selects over the same aux labeling, and
+	// stream exactly the aux output that selection implies, sequential
+	// and parallel alike.
 	lowerParallelKnobs(t)
 	rng := rand.New(rand.NewSource(73))
 	for iter := 0; iter < 10; iter++ {
@@ -202,28 +198,34 @@ func TestRunDiskParallelAuxFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := func(out string) DiskOpts {
-			return DiskOpts{AuxIn: auxIn, AuxOut: out, AuxOutBit: 3, AuxOutQuery: 1}
+		want := naive.EvaluateAux(tr, prog, func(v tree.NodeID) uint16 {
+			return binary.BigEndian.Uint16(masks[2*v:])
+		})
+		wantOut := make([]byte, len(masks))
+		q1 := prog.Queries()[1]
+		for v := 0; v < tr.Len(); v++ {
+			m := binary.BigEndian.Uint16(masks[2*v:])
+			if want.Holds(q1, tree.NodeID(v)) {
+				m |= 1 << 3
+			}
+			binary.BigEndian.PutUint16(wantOut[2*v:], m)
 		}
-		seq, _, err := NewEngine(c, db.Names).RunDisk(db, opts(filepath.Join(dir, "seq.aux")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 3, opts(filepath.Join(dir, "par.aux")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResults(t, prog, tr.Len(), par, seq, "aux")
-		seqOut, err := os.ReadFile(filepath.Join(dir, "seq.aux"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parOut, err := os.ReadFile(filepath.Join(dir, "par.aux"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seqOut, parOut) {
-			t.Fatalf("iter %d: parallel aux output differs from sequential", iter)
+		for _, workers := range []int{1, 3} {
+			out := filepath.Join(dir, fmt.Sprintf("out%d.aux", workers))
+			member := BatchMember{E: NewEngine(c, db.Names), AuxInSlot: 0, AuxOutSlot: 0, AuxOutBit: 3, AuxOutQuery: 1}
+			res, _, err := RunDiskBatchParallel(context.Background(), db, workers, []BatchMember{member},
+				DiskBatchOpts{AuxIn: auxIn, AuxInStride: 1, AuxOut: out, AuxOutStride: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, prog, tr.Len(), res[0], want, fmt.Sprintf("aux, workers %d", workers))
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantOut) {
+				t.Fatalf("iter %d workers %d: aux output differs from the oracle's selection", iter, workers)
+			}
 		}
 		db.Close()
 	}
@@ -247,10 +249,7 @@ func TestRunDiskConcurrentRunsShareDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := naive.Evaluate(tr, prog)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	results := make([]*Result, 8)
@@ -258,12 +257,7 @@ func TestRunDiskConcurrentRunsShareDatabase(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := NewEngine(c, db.Names)
-			if i%2 == 0 {
-				results[i], _, errs[i] = e.RunDisk(db, DiskOpts{})
-			} else {
-				results[i], _, errs[i] = e.RunDiskParallel(db, 3, DiskOpts{})
-			}
+			results[i], _, errs[i] = runDisk(NewEngine(c, db.Names), db, 1+2*(i%2), DiskBatchOpts{})
 		}(i)
 	}
 	wg.Wait()
@@ -288,7 +282,7 @@ func TestRunDiskConcurrentRunsShareDatabase(t *testing.T) {
 func TestRunDiskParallelRecoversFromForeignIndex(t *testing.T) {
 	// Swap the .arb underneath a same-node-count index (so the N check
 	// cannot catch it): the run must detect the extent mismatch, rebuild
-	// the index, and still return results identical to RunDisk.
+	// the index, and still select what the naive oracle selects.
 	lowerParallelKnobs(t)
 	names := tree.NewNames()
 	balanced := workload.InfixTree(workload.Sequence(5, 1<<10-1))
@@ -338,15 +332,11 @@ func TestRunDiskParallelRecoversFromForeignIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
+	par, _, err := runDisk(NewEngine(c, db.Names), db, 4, DiskBatchOpts{})
 	if err != nil {
 		t.Fatalf("parallel run did not recover from the stale index: %v", err)
 	}
-	sameResults(t, prog, balanced.Len(), par, seq, "foreign index")
+	sameResults(t, prog, balanced.Len(), par, naive.Evaluate(balanced, prog), "foreign index")
 	// The recovery must have rebuilt and re-persisted the sidecar: the
 	// chain index had FirstSize 0 at the root, the balanced tree does not.
 	ix, err := storage.ReadIndexFile(filepath.Join(dir, "db.idx"))
@@ -375,14 +365,23 @@ func TestRunDiskParallelFallsBackForMarkedOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqXML, parXML bytes.Buffer
-	if _, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{MarkTo: &seqXML}); err != nil {
+	want := naive.Evaluate(tr, prog)
+	var wantXML bytes.Buffer
+	q := prog.Queries()[0]
+	if err := storage.EmitXMLContext(context.Background(), db, &wantXML, func(v int64) bool {
+		return want.Holds(q, tree.NodeID(v))
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{MarkTo: &parXML}); err != nil {
-		t.Fatal(err)
-	}
-	if seqXML.String() != parXML.String() {
-		t.Fatalf("marked output differs:\nseq: %s\npar: %s", seqXML.String(), parXML.String())
+	for _, workers := range []int{1, 4} {
+		var xml bytes.Buffer
+		res, _, err := runDisk(NewEngine(c, db.Names), db, workers, DiskBatchOpts{Mark: MarkOpts{To: &xml}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, prog, tr.Len(), res, want, fmt.Sprintf("marked, workers %d", workers))
+		if xml.String() != wantXML.String() {
+			t.Fatalf("workers %d: marked output differs:\ngot:  %s\nwant: %s", workers, xml.String(), wantXML.String())
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -189,7 +188,7 @@ func TestSelSummaryDifferential(t *testing.T) {
 		q := e.Compiled().Prog.Queries()[0]
 		for i := 0; i < 25; i++ {
 			tr := testutil.RandomTreeWithNames(rng, names, 60)
-			res, err := e.RunContext(context.Background(), tr, RunOpts{})
+			res, err := runTree(e, tr, TreeBatchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,10 +23,6 @@ func TestTmpCleanupFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.TmpCleanup, "testdata/tmpcleanup", "arb/internal/core/tmpfixture")
 }
 
-func TestNoShimsFixture(t *testing.T) {
-	lint.RunFixture(t, analyzers.NoShims, "testdata/noshims", "arb/internal/lintfixture")
-}
-
 func TestCloseCheckFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.CloseCheck, "testdata/closecheck", "arb/internal/core/closefixture")
 }

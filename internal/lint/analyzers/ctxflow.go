@@ -18,9 +18,6 @@ import (
 //  2. a function that receives a context.Context must not pass a nil
 //     context onward — Fold*/Scan*/Run*Context callees must be handed
 //     the incoming ctx, not an empty one.
-//
-// Files marked //arblint:shims are exempt: deprecated context-less entry
-// points have nothing to forward.
 var Ctxflow = &lint.Analyzer{
 	Name: "ctxflow",
 	Doc:  "engine code must forward the caller's context, never mint or drop one",
@@ -75,9 +72,6 @@ func runCtxflow(pass *lint.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsShimFile(f.Pos()) {
-			continue
-		}
 		// stack mirrors the traversal; ctx availability is that of the
 		// innermost enclosing function, with closures inheriting from
 		// their lexical environment.

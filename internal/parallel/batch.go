@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"time"
 
 	"arb/internal/core"
 	"arb/internal/storage"
@@ -18,37 +19,42 @@ import (
 // (one pair of scans) is preserved as one pair of passes over the tree.
 // Each worker keeps a private dense core.BatchCache per member in front
 // of the members' shared automata. Results are identical to
-// core.RunBatchTree's. Cancelling ctx aborts all workers promptly.
-func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []core.BatchMember, topts core.TreeBatchOpts) ([]*core.Result, core.Stats, error) {
+// core.RunBatchTree's — the decomposition only changes the evaluation
+// order within each phase, never the transition functions; KeepStates
+// records the per-node states as there. Marked output is inherently
+// order-dependent, so marked passes run core.RunBatchTree itself.
+// Cancelling ctx aborts all workers promptly.
+func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []core.BatchMember, topts core.TreeBatchOpts) ([]*core.Result, error) {
 	var agg core.Stats
 	n := t.Len()
 	if n == 0 {
-		return nil, agg, errors.New("parallel: empty tree")
+		return nil, errors.New("parallel: empty tree")
 	}
 	nm := len(members)
 	if nm == 0 {
-		return nil, agg, errors.New("parallel: empty batch")
+		return nil, errors.New("parallel: empty batch")
+	}
+	if err := topts.Check(members); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, agg, err
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if topts.Mark.To != nil {
+		return core.RunBatchTree(ctx, t, members, topts)
+	}
 
-	// Selectivity-aware pruning, planned while the member engines are
-	// still exclusively ours (before Share): an extent is skipped only
-	// when every member's analysis proves it irrelevant.
-	prunable := !topts.NoPrune
+	// Selectivity-aware pruning: an extent is skipped only when every
+	// member's analysis proves it irrelevant.
 	engines := make([]*core.Engine, nm)
 	for m, bm := range members {
 		engines[m] = bm.E
-		if bm.Aux != nil {
-			prunable = false
-		}
 	}
 	var prune *core.PrunePlan
-	if prunable {
+	if topts.Prunable(members) {
 		prune = core.PlanPrune(engines, topts.Index, int64(n))
 	}
 	var planExts []storage.Extent
@@ -60,12 +66,6 @@ func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []c
 	shared := make([]*core.SharedEngine, nm)
 	for m, bm := range members {
 		res[m] = core.NewResult(bm.E.Compiled().Prog, int64(n))
-		bm.E.AddNodes(int64(n))
-		topts.Run.AddNodes(int64(n))
-		if prune != nil {
-			bm.E.AddPrunedNodes(prune.Nodes)
-			topts.Run.AddPrunedNodes(prune.Nodes)
-		}
 		shared[m] = bm.E.ShareTo(topts.Run)
 	}
 
@@ -154,6 +154,7 @@ func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []c
 	// synchronisation on bu), then the leader folds the top glue. Pruned
 	// extents inside a chunk are jumped over (their roots already carry
 	// the substitute vector).
+	start := time.Now()
 	err := runTasks(ctx, poolWorkers, tasks, func(worker, i int, x storage.Extent) error {
 		cs := caches[worker]
 		cancel := storage.NewCanceller(ctx)
@@ -173,25 +174,27 @@ func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []c
 		return nil
 	})
 	if err != nil {
-		return nil, agg, err
+		return nil, err
 	}
 	cancel := storage.NewCanceller(ctx)
 	for i := len(top) - 1; i >= 0; i-- {
 		if err := cancel.Step(); err != nil {
-			return nil, agg, err
+			return nil, err
 		}
 		buStep(leader, top[i])
 	}
+	agg.Phase1Time = time.Since(start)
 
 	// Phase 2: leader walks the top region — marking directly, no workers
 	// are running — then workers descend into their subtrees with private
 	// per-chunk bitsets per member.
+	start = time.Now()
 	for m := range members {
 		td[m] = leader[m].RootTrueSet(bu[m])
 	}
 	for _, v := range top {
 		if err := cancel.Step(); err != nil {
-			return nil, agg, err
+			return nil, err
 		}
 		first, second := t.First(v), t.Second(v)
 		for m := range members {
@@ -259,7 +262,12 @@ func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []c
 		return nil
 	})
 	if err != nil {
-		return nil, agg, err
+		return nil, err
 	}
-	return res, agg, nil
+	agg.Phase2Time = time.Since(start)
+	if topts.KeepStates {
+		res[0].BUStateOf, res[0].TDStateOf = bu, td
+	}
+	core.AccountRun(members, topts.Run, int64(n), prune, agg)
+	return res, nil
 }

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,33 +23,53 @@ func engineFor(tb testing.TB, prog *tmnf.Program, names *tree.Names) *core.Engin
 	return core.NewEngine(c, names)
 }
 
+// run evaluates e over t as a batch of one with the given number of
+// workers; runSeq runs the sequential kernel (core.RunBatchTree).
+func run(tb testing.TB, e *core.Engine, t *tree.Tree, workers int) *core.Result {
+	tb.Helper()
+	res, err := RunBatchContext(context.Background(), t, workers, core.Solo(e), core.TreeBatchOpts{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res[0]
+}
+
+func runSeq(tb testing.TB, e *core.Engine, t *tree.Tree) *core.Result {
+	tb.Helper()
+	res, err := core.RunBatchTree(context.Background(), t, core.Solo(e), core.TreeBatchOpts{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res[0]
+}
+
+// matchNaive asserts got selects exactly what the naive oracle selects.
+func matchNaive(tb testing.TB, prog *tmnf.Program, t *tree.Tree, got *core.Result, want *naive.Result, label string) {
+	tb.Helper()
+	for _, q := range prog.Queries() {
+		if g, w := got.Count(q), int64(want.Count(q)); g != w {
+			tb.Fatalf("%s: %s selected %d nodes, naive %d\nprogram:\n%s", label, prog.PredName(q), g, w, prog)
+		}
+		for v := 0; v < t.Len(); v++ {
+			if g, w := got.Holds(q, tree.NodeID(v)), want.Holds(q, tree.NodeID(v)); g != w {
+				tb.Fatalf("%s node %d: %v, naive %v\nprogram:\n%s", label, v, g, w, prog)
+			}
+		}
+	}
+}
+
+// TestRunMatchesSequential checks the worker pool and the sequential
+// kernel, each against the naive oracle, on random trees and programs.
 func TestRunMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for iter := 0; iter < 30; iter++ {
 		tr := testutil.RandomTree(rng, 4000)
 		prog := testutil.RandomProgramParsed(rng, 4, 8)
-
-		seq, err := engineFor(t, prog, tr.Names()).Run(tr, core.RunOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := naive.Evaluate(tr, prog)
+		matchNaive(t, prog, tr, runSeq(t, engineFor(t, prog, tr.Names()), tr), want, fmt.Sprintf("iter %d sequential", iter))
 		for _, workers := range []int{1, 2, 4, 7} {
-			par, err := Run(engineFor(t, prog, tr.Names()), tr, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range prog.Queries() {
-				if par.Count(q) != seq.Count(q) {
-					t.Fatalf("iter %d workers %d: count %d, sequential %d\nprogram:\n%s",
-						iter, workers, par.Count(q), seq.Count(q), prog)
-				}
-				for v := 0; v < tr.Len(); v++ {
-					if par.Holds(q, tree.NodeID(v)) != seq.Holds(q, tree.NodeID(v)) {
-						t.Fatalf("iter %d workers %d node %d: parallel %v, sequential %v",
-							iter, workers, v, par.Holds(q, tree.NodeID(v)), seq.Holds(q, tree.NodeID(v)))
-					}
-				}
-			}
+			par := run(t, engineFor(t, prog, tr.Names()), tr, workers)
+			matchNaive(t, prog, tr, par, want, fmt.Sprintf("iter %d workers %d", iter, workers))
 		}
 	}
 }
@@ -57,19 +79,8 @@ func TestRunMatchesNaiveSmall(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		tr := testutil.RandomTree(rng, 50)
 		prog := testutil.RandomProgramParsed(rng, 3, 6)
-		par, err := Run(engineFor(t, prog, tr.Names()), tr, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naive.Evaluate(tr, prog)
-		for _, q := range prog.Queries() {
-			for v := 0; v < tr.Len(); v++ {
-				if par.Holds(q, tree.NodeID(v)) != want.Holds(q, tree.NodeID(v)) {
-					t.Fatalf("iter %d node %d: parallel %v, naive %v", iter, v,
-						par.Holds(q, tree.NodeID(v)), want.Holds(q, tree.NodeID(v)))
-				}
-			}
-		}
+		par := run(t, engineFor(t, prog, tr.Names()), tr, 3)
+		matchNaive(t, prog, tr, par, naive.Evaluate(tr, prog), fmt.Sprintf("iter %d", iter))
 	}
 }
 
@@ -85,18 +96,9 @@ func TestRunOnInfixSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := prog.Queries()[0]
-		seqRes, err := engineFor(t, prog, tr.Names()).Run(tr, core.RunOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parRes, err := Run(engineFor(t, prog, tr.Names()), tr, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parRes.Count(q) != seqRes.Count(q) {
-			t.Fatalf("regex %s: parallel %d, sequential %d", r, parRes.Count(q), seqRes.Count(q))
-		}
+		want := naive.Evaluate(tr, prog)
+		matchNaive(t, prog, tr, runSeq(t, engineFor(t, prog, tr.Names()), tr), want, fmt.Sprintf("regex %s sequential", r))
+		matchNaive(t, prog, tr, run(t, engineFor(t, prog, tr.Names()), tr, 4), want, fmt.Sprintf("regex %s parallel", r))
 	}
 }
 
@@ -106,18 +108,9 @@ func TestRunOnInfixSequence(t *testing.T) {
 func TestRunDegenerateChain(t *testing.T) {
 	tr := workload.FlatTree(workload.Sequence(7, 50000))
 	prog := tmnf.MustParse(`QUERY :- Label[A], LastSibling;`)
-	par, err := Run(engineFor(t, prog, tr.Names()), tr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := engineFor(t, prog, tr.Names()).Run(tr, core.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := prog.Queries()[0]
-	if par.Count(q) != seq.Count(q) {
-		t.Fatalf("parallel %d, sequential %d", par.Count(q), seq.Count(q))
-	}
+	want := naive.Evaluate(tr, prog)
+	matchNaive(t, prog, tr, run(t, engineFor(t, prog, tr.Names()), tr, 4), want, "parallel")
+	matchNaive(t, prog, tr, runSeq(t, engineFor(t, prog, tr.Names()), tr), want, "sequential")
 }
 
 func TestSharedEngineConcurrentWarmup(t *testing.T) {
@@ -126,18 +119,9 @@ func TestSharedEngineConcurrentWarmup(t *testing.T) {
 	tr := workload.InfixTree(workload.Sequence(8, 1<<10-1))
 	prog := tmnf.MustParse(`QUERY :- V.Label[A].` + "(FirstChild.SecondChild*.-HasSecondChild | -HasFirstChild.invFirstChild*.invSecondChild)" + `.Label[C];`)
 	e := engineFor(t, prog, tr.Names())
-	var first int64 = -1
+	want := naive.Evaluate(tr, prog)
 	for i := 0; i < 3; i++ {
-		res, err := Run(e, tr, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := res.Count(prog.Queries()[0])
-		if first == -1 {
-			first = c
-		} else if c != first {
-			t.Fatalf("run %d: count %d, first run %d", i, c, first)
-		}
+		matchNaive(t, prog, tr, run(t, e, tr, 8), want, fmt.Sprintf("run %d", i))
 	}
 	if e.Stats().BUTransitions == 0 {
 		t.Fatal("no transitions recorded")

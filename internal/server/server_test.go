@@ -52,7 +52,7 @@ func getStats(t *testing.T, url string) server.Stats {
 
 // TestServeDifferentialCoalesced is the server's acceptance test: N
 // concurrent requests (hot and cold, TMNF and XPath, with duplicates)
-// against a disk database must return results bit-identical to scalar
+// against a disk database must return results bit-identical to solo
 // PreparedQuery.Exec, while the merged profile proves the coalescer paid
 // at most 2·⌈N/K⌉ linear scans for the whole burst.
 func TestServeDifferentialCoalesced(t *testing.T) {
@@ -101,7 +101,7 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	// a TMNF and an XPath query.
 	burst := append(append([]string{}, distinct...), distinct[0], distinct[0], distinct[4], distinct[4])
 
-	// Scalar baseline through a separate session: count and leading ids
+	// Solo baseline through a separate session: count and leading ids
 	// per query, computed sequentially before the server sees traffic.
 	baseSess, err := arb.OpenSession(base)
 	if err != nil {

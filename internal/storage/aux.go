@@ -53,5 +53,5 @@ func MaskBackward(f io.ReaderAt, lo, hi int64, stride int) (*BackwardReader, err
 // nodes [lo, hi); callers consume one stride-wide vector per node.
 func MaskForward(f io.ReaderAt, lo, hi int64, stride int) *bufio.Reader {
 	w := MaskStride(stride)
-	return bufio.NewReaderSize(io.NewSectionReader(f, lo*w, (hi-lo)*w), defaultBufSize)
+	return bufio.NewReaderSize(io.NewSectionReader(f, lo*w, (hi-lo)*w), scanBufSize)
 }

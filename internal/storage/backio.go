@@ -7,17 +7,25 @@ import (
 	"sync"
 )
 
-// defaultBufSize is the buffer size for sequential (forward and backward)
-// I/O. Backward scans read the file in large chunks from the end so the
-// disk still sees (reverse-)sequential access patterns.
+// defaultBufSize is the buffer size for the sequential writes of database
+// creation and output.
 const defaultBufSize = 1 << 18
 
+// scanBufSize is the buffer size of the evaluation scans' readers
+// (backward and forward). Backward scans read the file in chunks from
+// the end so the disk still sees (reverse-)sequential access patterns.
+// A query holds a few of these at once — record, state and aux readers —
+// and the pools below keep them live between queries, so they are sized
+// for per-call overhead well under the per-node work of a chunk, not
+// larger.
+const scanBufSize = 1 << 16
+
 // backBufPool recycles BackwardReader buffers: the skipping scan paths
-// open one reader per region between extents, and pooling the 256 KB
-// buffers keeps allocation churn flat however many extents a frontier or
-// pruning plan has. Readers return their buffer through Release.
+// open one reader per region between extents, and pooling the buffers
+// keeps allocation churn flat however many extents a frontier or pruning
+// plan has. Readers return their buffer through Release.
 var backBufPool = sync.Pool{
-	New: func() interface{} { return make([]byte, defaultBufSize) },
+	New: func() interface{} { return make([]byte, scanBufSize) },
 }
 
 // BackwardReader reads a section of a file from its end towards its start
@@ -55,8 +63,11 @@ func NewBackwardSectionReader(f io.ReaderAt, start, end int64, unitSize int) (*B
 		return nil, fmt.Errorf("storage: section size %d not a multiple of unit size %d", end-start, unitSize)
 	}
 	raw := backBufPool.Get().([]byte)
+	if len(raw) < unitSize {
+		raw = make([]byte, unitSize)
+	}
 	return &BackwardReader{f: f, start: start, pos: end, unitSize: unitSize, raw: raw,
-		buf: raw[:defaultBufSize/unitSize*unitSize]}, nil
+		buf: raw[:len(raw)/unitSize*unitSize]}, nil
 }
 
 // Release returns the reader's buffer to the shared pool. The reader (and

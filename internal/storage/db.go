@@ -489,9 +489,9 @@ func (t *topDown[S]) node(v int64, rec Record) error {
 // sectionReaderPool recycles the buffered forward readers of the scan
 // loops: the skipping scans open one reader per gap between extents, so
 // on many-extent frontiers (parallel cuts, pruning plans) pooling the
-// 256 KB buffers cuts the allocation churn to zero in steady state.
+// buffers cuts the allocation churn to zero in steady state.
 var sectionReaderPool = sync.Pool{
-	New: func() interface{} { return bufio.NewReaderSize(nil, defaultBufSize) },
+	New: func() interface{} { return bufio.NewReaderSize(nil, scanBufSize) },
 }
 
 // sectionReader returns a buffered forward reader over the node range

@@ -171,12 +171,11 @@ func evalCount(t *testing.T, tr *tree.Tree, r PathRegex, rstep string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.NewEngine(c, tr.Names())
-	res, err := e.Run(tr, core.RunOpts{})
+	res, err := core.RunBatchTree(context.Background(), tr, core.Solo(core.NewEngine(c, tr.Names())), core.TreeBatchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Count(prog.Queries()[0])
+	return res[0].Count(prog.Queries()[0])
 }
 
 // oracleEndpoints counts the distinct endpoint positions of matching

@@ -18,9 +18,9 @@ import (
 // scheduled so that round r runs pass r of every member that still has
 // one — sibling queries piggyback on each other's scans, and the total
 // number of scan pairs is the maximum pass count over the batch, not the
-// sum. Like Prepared, a Batch supports overlapping executions, including
-// batches that share members (engines) with other live batches or
-// scalar handles.
+// sum. A single query executes as a batch of one. Like Prepared, a Batch
+// supports overlapping executions, including batches that share members
+// (engines) with other live batches.
 type Batch struct {
 	members []*Prepared
 }
@@ -98,17 +98,37 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool, auxFn func(i in
 	return bms, idx, anyOut
 }
 
+// checkOpts rejects the single-query options on a batch of several.
+func (b *Batch) checkOpts(opts ExecOpts) error {
+	if len(b.members) != 1 && (opts.KeepStates || opts.MarkTo != nil) {
+		return fmt.Errorf("xpath: KeepStates and MarkTo apply to a batch of one, not %d queries", len(b.members))
+	}
+	return nil
+}
+
+// markOpts returns the marking option of round r: the main pass of a
+// batch of one (its last round) streams the marked document.
+func (b *Batch) markOpts(r int, opts ExecOpts) core.MarkOpts {
+	if r != b.Rounds()-1 {
+		return core.MarkOpts{}
+	}
+	return core.MarkOpts{To: opts.MarkTo, Query: opts.MarkQuery}
+}
+
 // ExecTree evaluates the whole batch over an in-memory tree: each round
 // is one shared pair of passes stepping every active member's automata
 // per node (parallel over a subtree frontier when opts.Workers > 1).
 // The results are returned in member order and are identical to running
-// each member's ExecTree alone. opts.KeepStates and opts.MarkTo do not
-// apply to batches and are ignored.
+// each member alone. opts.KeepStates and opts.MarkTo apply to the main
+// pass of a batch of one; a larger batch rejects them.
 func (b *Batch) ExecTree(ctx context.Context, t *tree.Tree, opts ExecOpts) ([]*core.Result, ExecStats, error) {
 	rounds := b.Rounds()
 	es := ExecStats{Passes: rounds}
 	if t.Len() == 0 {
 		return nil, es, fmt.Errorf("xpath: empty tree")
+	}
+	if err := b.checkOpts(opts); err != nil {
+		return nil, es, err
 	}
 	results := make([]*core.Result, len(b.members))
 	aux := make([][]uint16, len(b.members))
@@ -132,20 +152,23 @@ func (b *Batch) ExecTree(ctx context.Context, t *tree.Tree, opts ExecOpts) ([]*c
 				roundAux = nil
 			}
 			bms, idx, _ := b.roundMembers(r, slots, false, roundAux)
-			topts := core.TreeBatchOpts{Index: opts.Index, NoPrune: opts.NoPrune, Run: rs}
+			topts := core.TreeBatchOpts{
+				Index:      opts.Index,
+				NoPrune:    opts.NoPrune,
+				KeepStates: opts.KeepStates && r == rounds-1,
+				Mark:       b.markOpts(r, opts),
+				Run:        rs,
+			}
 			var rres []*core.Result
-			var agg core.Stats
 			var err error
 			if opts.Workers > 1 {
-				rres, agg, err = parallel.RunBatchContext(ctx, t, opts.Workers, bms, topts)
+				rres, err = parallel.RunBatchContext(ctx, t, opts.Workers, bms, topts)
 			} else {
-				rres, agg, err = core.RunBatchTree(ctx, t, bms, topts)
+				rres, err = core.RunBatchTree(ctx, t, bms, topts)
 			}
 			if err != nil {
 				return fmt.Errorf("xpath: batch round %d: %w", r, err)
 			}
-			es.Engine.Phase1Time += agg.Phase1Time
-			es.Engine.Phase2Time += agg.Phase2Time
 			for j, res := range rres {
 				i := idx[j]
 				m := b.members[i]
@@ -176,18 +199,24 @@ func (b *Batch) ExecTree(ctx context.Context, t *tree.Tree, opts ExecOpts) ([]*c
 // sidecar with a slot per member — so a batch of single-pass queries
 // costs exactly two linear scans of the data in aggregate, however many
 // queries it holds. Cancelling ctx aborts the scan in progress and
-// removes every temporary file. opts.KeepStates and opts.MarkTo do not
-// apply to batches and are ignored.
+// removes every temporary file. opts.KeepStates and opts.MarkTo apply to
+// the main pass of a batch of one; a larger batch rejects them.
 func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]*core.Result, ExecStats, error) {
 	rounds := b.Rounds()
 	es := ExecStats{Passes: rounds}
+	if err := b.checkOpts(opts); err != nil {
+		return nil, es, err
+	}
 	results := make([]*core.Result, len(b.members))
 	slots, stride := b.auxSlots()
 	err := statsDelta(&es, func(rs *core.RunStats) error {
 		var tmp string
 		if stride > 0 {
-			// A private temp directory per execution, removed on success,
-			// failure and cancellation alike (cf. Prepared.ExecDisk).
+			// A private temp directory per execution: concurrent queries
+			// sharing a database directory must not clobber each other's
+			// sidecar files. Removing it afterwards — on success, failure
+			// and cancellation alike — is what keeps cancelled multi-pass
+			// executions from leaking sidecars.
 			dir := opts.AuxDir
 			if dir == "" {
 				dir = filepath.Dir(db.Base)
@@ -202,7 +231,13 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 		auxIn := ""
 		for r := 0; r < rounds; r++ {
 			bms, idx, anyOut := b.roundMembers(r, slots, auxIn != "", nil)
-			dopts := core.DiskBatchOpts{AuxIn: auxIn, NoPrune: opts.NoPrune, Run: rs}
+			dopts := core.DiskBatchOpts{
+				AuxIn:         auxIn,
+				KeepStateFile: opts.KeepStates && r == rounds-1,
+				Mark:          b.markOpts(r, opts),
+				NoPrune:       opts.NoPrune,
+				Run:           rs,
+			}
 			if auxIn != "" {
 				dopts.AuxInStride = stride
 			}
@@ -211,22 +246,17 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 				dopts.AuxOutStride = stride
 			}
 			var rres []*core.Result
-			var agg core.Stats
 			var ds *core.DiskStats
 			var err error
 			if opts.Workers > 1 {
-				rres, agg, ds, err = core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
+				rres, ds, err = core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
 			} else {
-				rres, agg, ds, err = core.RunDiskBatch(ctx, db, bms, dopts)
+				rres, ds, err = core.RunDiskBatch(ctx, db, bms, dopts)
 			}
 			if err != nil {
 				return fmt.Errorf("xpath: batch round %d: %w", r, err)
 			}
-			if ds != nil {
-				es.Disk.Merge(*ds)
-			}
-			es.Engine.Phase1Time += agg.Phase1Time
-			es.Engine.Phase2Time += agg.Phase2Time
+			es.Disk.Merge(*ds)
 			for j, res := range rres {
 				i := idx[j]
 				if r == b.members[i].Passes()-1 {

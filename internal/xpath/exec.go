@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 
 	"arb/internal/core"
-	"arb/internal/parallel"
 	"arb/internal/storage"
 	"arb/internal/tmnf"
 	"arb/internal/tree"
@@ -103,12 +100,15 @@ type ExecOpts struct {
 	// KeepStates retains per-node evaluation state from the main pass:
 	// in-memory runs record the automaton states in the Result
 	// (Result.BUStateOf/TDStateOf); disk runs keep the phase-1 state
-	// file under a unique per-run name reported as Result.StateFile.
+	// file — 4 bytes per node, one big-endian bottom-up state id in
+	// reverse preorder — under a unique per-run name reported as
+	// Result.StateFile. It applies to single queries (a batch of one).
 	KeepStates bool
 	// MarkTo, when non-nil, streams the document back out as XML with
-	// the nodes selected by query predicate MarkQuery marked up. On disk
-	// the marked document is produced during the main pass's second scan
-	// itself (Section 6.3); marking forces that pass sequential.
+	// the nodes selected by query predicate MarkQuery marked up, during
+	// the main pass's second scan itself (Section 6.3); marking forces
+	// that pass sequential. It applies to single queries (a batch of
+	// one).
 	MarkTo    io.Writer
 	MarkQuery int
 	// AuxDir is where disk executions place the temporary aux-mask
@@ -148,158 +148,29 @@ func statsDelta(es *ExecStats, f func(rs *core.RunStats) error) error {
 	return err
 }
 
-// ExecTree evaluates the prepared query over an in-memory tree: the
-// auxiliary passes run in order, each feeding its selected nodes into the
-// Aux labeling of later passes, and the main pass's unified result is
-// returned. Cancelling ctx aborts the pass in progress with ctx.Err().
+// ExecTree evaluates the prepared query over an in-memory tree as a
+// batch of one: the auxiliary passes run in order, each feeding its
+// selected nodes into the Aux labeling of later passes, and the main
+// pass's unified result is returned. Cancelling ctx aborts the pass in
+// progress with ctx.Err().
 func (p *Prepared) ExecTree(ctx context.Context, t *tree.Tree, opts ExecOpts) (*core.Result, ExecStats, error) {
-	es := ExecStats{Passes: p.Passes()}
-	if t.Len() == 0 {
-		return nil, es, fmt.Errorf("xpath: empty tree")
-	}
-	var res *core.Result
-	err := statsDelta(&es, func(rs *core.RunStats) error {
-		var aux []uint16
-		var auxFn func(v tree.NodeID) uint16
-		if len(p.aux) > 0 {
-			aux = make([]uint16, t.Len())
-			auxFn = func(v tree.NodeID) uint16 { return aux[v] }
-		}
-		// The first pass reads no aux bits (none have been produced yet),
-		// so it runs with Aux nil — which is also what lets it prune.
-		auxForPass := func(k int) func(v tree.NodeID) uint16 {
-			if k == 0 {
-				return nil
-			}
-			return auxFn
-		}
-		runPass := func(e *core.Engine, ro core.RunOpts) (*core.Result, error) {
-			ro.Index = opts.Index
-			ro.NoPrune = opts.NoPrune
-			ro.Run = rs
-			if opts.Workers > 1 {
-				return parallel.RunContext(ctx, e, t, opts.Workers, ro)
-			}
-			return e.RunContext(ctx, t, ro)
-		}
-		for k, e := range p.aux {
-			pres, err := runPass(e, core.RunOpts{Aux: auxForPass(k)})
-			if err != nil {
-				return fmt.Errorf("xpath: pass %d: %w", k, err)
-			}
-			bit := uint16(1) << uint(k)
-			pres.Walk(pres.Queries()[0], func(v tree.NodeID) bool {
-				aux[v] |= bit
-				return true
-			})
-		}
-		var err error
-		res, err = runPass(p.main, core.RunOpts{Aux: auxForPass(len(p.aux)), KeepStates: opts.KeepStates})
-		if err != nil {
-			return err
-		}
-		if opts.MarkTo != nil {
-			return emitTreeMarked(ctx, t, opts.MarkTo, func(v int64) bool {
-				return res.Holds(p.Queries()[opts.MarkQuery], tree.NodeID(v))
-			})
-		}
-		return nil
-	})
+	res, es, err := NewBatch([]*Prepared{p}).ExecTree(ctx, t, opts)
 	if err != nil {
 		return nil, es, err
 	}
-	return res, es, nil
+	return res[0], es, nil
 }
 
 // ExecDisk evaluates the prepared query over a .arb database entirely in
-// secondary storage: each auxiliary pass runs as two linear scans whose
-// phase 2 streams an updated 2-byte-per-node aux-mask sidecar file, which
-// the next pass reads alongside the database; the main pass returns the
-// unified result. Cancelling ctx aborts the scan in progress with
-// ctx.Err() and removes every temporary sidecar the execution created.
+// secondary storage as a batch of one: each auxiliary pass runs as two
+// linear scans whose phase 2 streams an updated aux-mask sidecar file,
+// which the next pass reads alongside the database; the main pass
+// returns the unified result. Cancelling ctx aborts the scan in progress
+// with ctx.Err() and removes every temporary file the execution created.
 func (p *Prepared) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) (*core.Result, ExecStats, error) {
-	es := ExecStats{Passes: p.Passes()}
-	var res *core.Result
-	err := statsDelta(&es, func(rs *core.RunStats) error {
-		runPass := func(e *core.Engine, do core.DiskOpts) (*core.Result, error) {
-			var r *core.Result
-			var ds *core.DiskStats
-			var err error
-			do.Run = rs
-			if opts.Workers > 1 {
-				r, ds, err = e.RunDiskParallelContext(ctx, db, opts.Workers, do)
-			} else {
-				r, ds, err = e.RunDiskContext(ctx, db, do)
-			}
-			if ds != nil {
-				es.Disk.Merge(*ds)
-			}
-			return r, err
-		}
-		var auxIn string
-		if len(p.aux) > 0 {
-			// A private temp directory per execution: concurrent queries
-			// sharing a database directory must not clobber each other's
-			// sidecar files. Removing it afterwards — on success, failure
-			// and cancellation alike — is what keeps cancelled multi-pass
-			// executions from leaking sidecars.
-			dir := opts.AuxDir
-			if dir == "" {
-				dir = filepath.Dir(db.Base)
-			}
-			tmp, err := os.MkdirTemp(dir, "arb-aux-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(tmp)
-			for k, e := range p.aux {
-				auxOut := filepath.Join(tmp, fmt.Sprintf("pass%d.aux", k))
-				_, err := runPass(e, core.DiskOpts{
-					AuxIn:     auxIn,
-					AuxOut:    auxOut,
-					AuxOutBit: uint8(k),
-					NoPrune:   opts.NoPrune,
-					// Each pass has exactly one query predicate, index 0.
-				})
-				if err != nil {
-					return fmt.Errorf("xpath: pass %d: %w", k, err)
-				}
-				auxIn = auxOut
-			}
-		}
-		var err error
-		res, err = runPass(p.main, core.DiskOpts{
-			AuxIn:         auxIn,
-			KeepStateFile: opts.KeepStates,
-			MarkTo:        opts.MarkTo,
-			MarkQuery:     opts.MarkQuery,
-			NoPrune:       opts.NoPrune,
-		})
-		return err
-	})
+	res, es, err := NewBatch([]*Prepared{p}).ExecDisk(ctx, db, opts)
 	if err != nil {
 		return nil, es, err
 	}
-	return res, es, nil
-}
-
-// emitTreeMarked streams an in-memory tree out as XML with selected nodes
-// marked up, through the same emitter the disk path uses.
-func emitTreeMarked(ctx context.Context, t *tree.Tree, w io.Writer, selected func(v int64) bool) error {
-	em := storage.NewXMLEmitter(w, t.Names())
-	cancel := storage.NewCanceller(ctx)
-	for v := 0; v < t.Len(); v++ {
-		if err := cancel.Step(); err != nil {
-			return err
-		}
-		rec := storage.Record{
-			Label:     uint16(t.Label(tree.NodeID(v))),
-			HasFirst:  t.HasFirst(tree.NodeID(v)),
-			HasSecond: t.HasSecond(tree.NodeID(v)),
-		}
-		if err := em.Node(int64(v), rec, selected(int64(v))); err != nil {
-			return err
-		}
-	}
-	return em.Finish()
+	return res[0], es, nil
 }

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -31,6 +32,32 @@ func selected(sel []bool) []int {
 		}
 	}
 	return out
+}
+
+// walkIDs lists the nodes res selects for the main pass's query, in
+// preorder.
+func walkIDs(q *Query, res *core.Result) []int {
+	var out []int
+	res.Walk(q.Main.Queries()[0], func(v tree.NodeID) bool {
+		out = append(out, int(v))
+		return true
+	})
+	return out
+}
+
+// evalTree executes q over an in-memory tree through Prepared.ExecTree
+// and returns the selected nodes.
+func evalTree(t *testing.T, q *Query, tr *tree.Tree) []int {
+	t.Helper()
+	p, err := q.Prepare(tr.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := p.ExecTree(context.Background(), tr, ExecOpts{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return walkIDs(q, res)
 }
 
 func TestParseRoundTrip(t *testing.T) {
@@ -204,11 +231,7 @@ func TestTranslateMatchesInterp(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Translate(%q): %v", qs, err)
 			}
-			sel, err := q.Eval(tr)
-			if err != nil {
-				t.Fatalf("Eval(%q): %v", qs, err)
-			}
-			if got := selected(sel); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := evalTree(t, q, tr); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("doc %s\nquery %s: engine %v, interpreter %v", doc, qs, got, want)
 			}
 		}
@@ -263,11 +286,7 @@ func TestTranslateMatchesInterpRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Translate(%q): %v", qs, err)
 		}
-		sel, err := q.Eval(tr)
-		if err != nil {
-			t.Fatalf("Eval(%q): %v", qs, err)
-		}
-		if got := selected(sel); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := evalTree(t, q, tr); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("iter %d: query %s\nengine      %v\ninterpreter %v\ntree:\n%s",
 				iter, qs, got, want, tr)
 		}
@@ -323,18 +342,12 @@ func TestPositiveFragmentOnDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := core.NewEngine(c, db.Names)
-		res, _, err := e.RunDisk(db, core.DiskOpts{})
+		res, _, err := core.RunDiskBatch(context.Background(), db, core.Solo(core.NewEngine(c, db.Names)), core.DiskBatchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := selected(NewInterp(tr).Eval(MustParse(qs)))
-		var got []int
-		res.Walk(q.Main.Queries()[0], func(v tree.NodeID) bool {
-			got = append(got, int(v))
-			return true
-		})
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := walkIDs(q, res[0]); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: disk %v, interpreter %v", qs, got, want)
 		}
 	}
@@ -368,7 +381,7 @@ func TestXPathParserRobustness(t *testing.T) {
 }
 
 // TestEvalDiskMatchesEval runs multi-pass (negated) queries entirely in
-// secondary storage and compares with the in-memory evaluator and the
+// secondary storage and in memory, and compares both with the
 // interpreter.
 func TestEvalDiskMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
@@ -384,27 +397,23 @@ func TestEvalDiskMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", qs, err)
 		}
-		mem, err := q.Eval(tr)
+		mem := evalTree(t, q, tr)
+		want := selected(NewInterp(tr).Eval(q.Path))
+		p, err := q.Prepare(db.Names)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := selected(NewInterp(tr).Eval(q.Path))
 		for _, workers := range []int{1, 3} {
-			res, err := q.EvalDisk(db, dir, workers)
+			res, _, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: workers, AuxDir: dir})
 			if err != nil {
-				t.Fatalf("EvalDisk(%q, workers=%d): %v", qs, workers, err)
+				t.Fatalf("ExecDisk(%q, workers=%d): %v", qs, workers, err)
 			}
-			var gotDisk []int
-			res.Walk(q.Main.Queries()[0], func(v tree.NodeID) bool {
-				gotDisk = append(gotDisk, int(v))
-				return true
-			})
-			if fmt.Sprint(gotDisk) != fmt.Sprint(want) {
+			if gotDisk := walkIDs(q, res); fmt.Sprint(gotDisk) != fmt.Sprint(want) {
 				t.Fatalf("iter %d: query %s (workers=%d)\ndisk        %v\ninterpreter %v", iter, qs, workers, gotDisk, want)
 			}
 		}
-		if fmt.Sprint(selected(mem)) != fmt.Sprint(want) {
-			t.Fatalf("iter %d: query %s: memory %v, interpreter %v", iter, qs, selected(mem), want)
+		if fmt.Sprint(mem) != fmt.Sprint(want) {
+			t.Fatalf("iter %d: query %s: memory %v, interpreter %v", iter, qs, mem, want)
 		}
 		db.Close()
 	}

@@ -186,7 +186,7 @@ func TestKeepStatesOverlap(t *testing.T) {
 
 // TestConcurrentSessionStress hammers one session pair (memory and disk
 // over the same document) with goroutines running a mixed workload —
-// scalar TMNF, multi-pass XPath, PrepareBatch batches and BatchOf
+// single-query TMNF, multi-pass XPath, PrepareBatch batches and BatchOf
 // batches over the shared hot handles, sequential and parallel — and
 // requires every result to be bit-identical to the sequential baseline.
 // Run under -race this is the concurrency gate for the reentrant
@@ -212,7 +212,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 	type backend struct {
 		name string
 		sess *arb.Session
-		pq   *arb.PreparedQuery // hot scalar handle, shared by all goroutines
+		pq   *arb.PreparedQuery // hot single-query handle, shared by all goroutines
 		xpq  *arb.PreparedQuery // hot multi-pass handle
 		pb   *arb.PreparedBatch // hot batch over the two handles' automata
 	}
@@ -235,10 +235,10 @@ func TestConcurrentSessionStress(t *testing.T) {
 	}
 
 	// Sequential baselines, computed before any concurrency.
-	wantScalar := selectedOf(t, backends[0].pq, arb.ExecOpts{})
+	wantTMNF := selectedOf(t, backends[0].pq, arb.ExecOpts{})
 	wantXPath := selectedOf(t, backends[0].xpq, arb.ExecOpts{})
-	if len(wantScalar) != 600 || len(wantXPath) != 300 {
-		t.Fatalf("baseline selected %d/%d nodes, want 600/300", len(wantScalar), len(wantXPath))
+	if len(wantTMNF) != 600 || len(wantXPath) != 300 {
+		t.Fatalf("baseline selected %d/%d nodes, want 600/300", len(wantTMNF), len(wantXPath))
 	}
 	same := func(got, want []arb.NodeID) error {
 		if len(got) != len(want) {
@@ -267,10 +267,10 @@ func TestConcurrentSessionStress(t *testing.T) {
 				opts := arb.ExecOpts{Workers: workers, NoPrune: rng.Intn(2) == 1}
 				var err error
 				switch rng.Intn(3) {
-				case 0: // scalar TMNF through the shared hot handle
+				case 0: // single-query TMNF through the shared hot handle
 					var res *arb.Result
 					if res, _, err = b.pq.Exec(context.Background(), opts); err == nil {
-						err = same(res.Selected(b.pq.Queries()[0]), wantScalar)
+						err = same(res.Selected(b.pq.Queries()[0]), wantTMNF)
 					}
 				case 1: // multi-pass XPath through the shared hot handle
 					var res *arb.Result
@@ -280,7 +280,7 @@ func TestConcurrentSessionStress(t *testing.T) {
 				case 2: // shared-scan batch over the same engines
 					var res []*arb.Result
 					if res, _, err = b.pb.Exec(context.Background(), opts); err == nil {
-						if err = same(res[0].Selected(b.pb.Queries(0)[0]), wantScalar); err == nil {
+						if err = same(res[0].Selected(b.pb.Queries(0)[0]), wantTMNF); err == nil {
 							err = same(res[1].Selected(b.pb.Queries(1)[0]), wantXPath)
 						}
 					}

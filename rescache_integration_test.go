@@ -169,7 +169,7 @@ func TestResCacheDifferentialStrategies(t *testing.T) {
 				t.Fatalf("%s: batch result differs from truth", sources[i])
 			}
 		}
-		// ...so scalar repeats of each member are zero-scan exact hits.
+		// ...so single-query repeats of each member are zero-scan exact hits.
 		for i, q := range queries {
 			pq, err := sess.PrepareXPath(q)
 			if err != nil {

@@ -272,8 +272,8 @@ func (s *Session) PrepareBatch(items ...any) (*PreparedBatch, error) {
 // BatchOf groups queries already prepared on this session into a
 // PreparedBatch without recompiling them: the batch's members are the
 // handles' own compiled passes, so their warm automata — transition
-// tables paid for by earlier scalar executions — drive the shared scans
-// directly, and work computed during the batch warms the scalar handles
+// tables paid for by earlier single-query executions — drive the shared scans
+// directly, and work computed during the batch warms the single-query handles
 // in return. This is the shape a coalescing query server wants: cache
 // one PreparedQuery per distinct query text, and fold whatever mix of
 // hot handles the current requests name into one shared-scan execution.
@@ -310,11 +310,13 @@ type ExecOpts struct {
 	// KeepStates retains per-node evaluation state from the main pass:
 	// in-memory sessions record the automaton states in the Result
 	// (Result.BUStateOf/TDStateOf); disk sessions keep the phase-1
-	// state file and report its path as Result.StateFile. Every
-	// execution writes a uniquely named file next to the database, so
-	// KeepStates executions — through one handle or many — run
-	// concurrently without blocking or clobbering each other; the
-	// caller owns removal of each kept file.
+	// state file and report its path as Result.StateFile. A kept file
+	// holds 4 bytes per node — one big-endian bottom-up state id per
+	// node in reverse preorder — whatever narrower width an unkept
+	// execution would have written. Every execution writes a uniquely
+	// named file next to the database, so KeepStates executions —
+	// through one handle or many — run concurrently without blocking or
+	// clobbering each other; the caller owns removal of each kept file.
 	KeepStates bool
 	// Stats asks Exec to return a Profile of this execution's cost;
 	// when false Exec returns a nil Profile.
@@ -322,9 +324,8 @@ type ExecOpts struct {
 	// MarkTo, when non-nil, streams the document back out as XML with
 	// the nodes selected by query predicate MarkQuery (an index into
 	// Queries()) marked up — the system's default output mode
-	// (Section 6.3). On disk the marked document is produced during the
-	// final pass's forward scan itself; marking forces that pass
-	// sequential.
+	// (Section 6.3). The marked document is produced during the final
+	// pass's second scan itself; marking forces that pass sequential.
 	MarkTo    io.Writer
 	MarkQuery int
 	// NoPrune disables selectivity-aware scan pruning for this
@@ -389,7 +390,7 @@ func (p *Profile) SkippedBytes() int64 {
 // PreparedQuery is a query compiled against one Session, ready for
 // repeated execution. The pair of deterministic tree automata per pass is
 // computed lazily and persists across Exec calls (the paper's footnote
-// 15), so a warm query evaluates with two hash-table lookups per node.
+// 15), so a warm query evaluates with two dense-table lookups per node.
 //
 // Exec is reentrant: any number of goroutines may execute one handle at
 // once and the executions overlap, sharing the warm automata through the
@@ -781,7 +782,7 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 	}
 	// Publish every member's completed result at the batch's pinned
 	// version — a coalesced server batch warms the cache for all the
-	// queries it carried. Lookups stay with the scalar path (servers
+	// queries it carried. Lookups stay with single-query executions (servers
 	// check TryCached before coalescing).
 	if rc := b.s.rc; opts.ResultCache && rc != nil {
 		var n int64

@@ -1,15 +1,18 @@
 package arb_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"arb"
+	"arb/internal/xpath"
 )
 
 // buildCatalog constructs a catalog document large enough that the
@@ -355,6 +358,47 @@ func TestExecMarkedOutputBothBackends(t *testing.T) {
 	}
 }
 
+// TestPreparedQueryCount covers Count on both backends: it must equal the
+// first query predicate's count from a full Exec.
+func TestPreparedQueryCount(t *testing.T) {
+	tr := buildCatalog(t, 300)
+	dir := t.TempDir()
+	db, err := arb.CreateDBFromTree(filepath.Join(dir, "catalog"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	prog, err := arb.ParseProgram(`QUERY :- Label[flag];`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sess := range map[string]*arb.Session{
+		"memory": arb.NewSession(tr),
+		"disk":   arb.NewDBSession(db),
+	} {
+		pq, err := sess.Prepare(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := pq.Exec(context.Background(), arb.ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Count(pq.Queries()[0])
+		if want != 200 {
+			t.Fatalf("%s: Exec counted %d flags, want 200", name, want)
+		}
+		got, err := pq.Count(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: Count() = %d, Exec counted %d", name, got, want)
+		}
+	}
+	assertOnlyDatabaseFiles(t, dir)
+}
+
 // TestExecMarkQueryValidation checks that an out-of-range MarkQuery is
 // rejected with an error on both backends instead of panicking (memory)
 // or silently marking nothing (disk).
@@ -385,4 +429,103 @@ func TestExecMarkQueryValidation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExecKeepStatesAndMarkTo covers the two single-query options on the
+// one evaluation kernel, for a single-pass and a not(..) query, in
+// memory and on raw and compressed disk, sequential and with two
+// workers: marked output must equal a separate EmitXML of the XPath
+// interpreter's selection byte for byte, and kept states must be
+// complete and identical whatever the worker count — in memory as
+// Result.BUStateOf/TDStateOf, on disk as a state file of 4 bytes per
+// node that the caller owns.
+func TestExecKeepStatesAndMarkTo(t *testing.T) {
+	tr := buildCatalog(t, 1200)
+	dir := t.TempDir()
+	db, err := arb.CreateDBFromTree(filepath.Join(dir, "catalog"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	compBase, _ := compressedCopy(t, dir, tr, "lz", 1<<14)
+	comp, err := arb.OpenDB(compBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comp.Close()
+	sessions := []struct {
+		name string
+		sess *arb.Session
+	}{
+		{"memory", arb.NewSession(tr)},
+		{"disk", arb.NewDBSession(db)},
+		{"compressed", arb.NewDBSession(comp)},
+	}
+	ctx := context.Background()
+	for _, src := range []string{`//item/name`, `//item[not(flag)]/name`} {
+		xq, err := arb.ParseXPath(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := xpath.NewInterp(tr).Eval(xq.Path)
+		var want strings.Builder
+		if err := arb.EmitXML(db, &want, func(v int64) bool { return truth[v] }); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sessions {
+			pq, err := s.sess.PrepareXPath(xq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := pq.Queries()[0]
+			var keptBU, keptTD []int32
+			var keptFile []byte
+			for _, workers := range []int{1, 2} {
+				label := fmt.Sprintf("%s %s workers=%d", src, s.name, workers)
+				var marked strings.Builder
+				res, _, err := pq.Exec(ctx, arb.ExecOpts{Workers: workers, MarkTo: &marked})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if marked.String() != want.String() {
+					t.Fatalf("%s: marked output differs from EmitXML of the interpreter's selection", label)
+				}
+				for v, sel := range truth {
+					if res.Holds(q, arb.NodeID(v)) != sel {
+						t.Fatalf("%s: node %d selected=%v, interpreter %v", label, v, !sel, sel)
+					}
+				}
+
+				res, _, err = pq.Exec(ctx, arb.ExecOpts{Workers: workers, KeepStates: true})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if s.sess.DB() == nil {
+					if len(res.BUStateOf) != tr.Len() || len(res.TDStateOf) != tr.Len() {
+						t.Fatalf("%s: kept %d/%d states for %d nodes", label, len(res.BUStateOf), len(res.TDStateOf), tr.Len())
+					}
+					if keptBU == nil {
+						keptBU, keptTD = res.BUStateOf, res.TDStateOf
+					} else if !slices.Equal(res.BUStateOf, keptBU) || !slices.Equal(res.TDStateOf, keptTD) {
+						t.Fatalf("%s: kept states differ from the sequential run's", label)
+					}
+					continue
+				}
+				data, err := os.ReadFile(res.StateFile)
+				if err != nil {
+					t.Fatalf("%s: kept state file: %v", label, err)
+				}
+				os.Remove(res.StateFile)
+				if len(data) != 4*tr.Len() {
+					t.Fatalf("%s: state file holds %d bytes for %d nodes", label, len(data), tr.Len())
+				}
+				if keptFile == nil {
+					keptFile = data
+				} else if !bytes.Equal(data, keptFile) {
+					t.Fatalf("%s: state file differs from the sequential run's", label)
+				}
+			}
+		}
+	}
+	assertOnlyDatabaseFiles(t, dir)
 }
