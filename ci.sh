@@ -143,6 +143,15 @@ go test -run 'Patch|Version|Snapshot' -race ./...
 # the server fast path + admission control.
 go test -run 'ResCache|Subsum' -race ./...
 
+# The block-at-a-time scan kernel: structure checks on malformed .arb
+# files (sequential and chunked, no temp files left), EOF-at-end
+# io.ReaderAt sources, and the allocation gate (a warm run allocates the
+# same at 2^15 and 2^17 nodes), under the race detector; then a bounded
+# fuzz of the kernel over arbitrary record streams against the naive
+# oracle.
+go test -run 'Malformed|Kernel|Allocs|ReaderAtEOF' -race ./internal/core ./internal/storage
+go test -run '^$' -fuzz '^FuzzScanKernel$' -fuzztime 10s ./internal/core
+
 # Full suite (includes the fuzz targets' seed corpora), with shuffled
 # test order so inter-test state dependencies cannot hide.
 go test -shuffle=on -race ./...

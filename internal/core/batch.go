@@ -1,16 +1,13 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"time"
 
 	"arb/internal/edb"
@@ -372,6 +369,11 @@ func (c *BatchCache) QueryMask(td StateID) uint64 {
 	if int(td) < len(c.maskKnown) && c.maskKnown[td] {
 		return c.masks[td]
 	}
+	return c.maskMiss(td)
+}
+
+// maskMiss is QueryMask's slow path (kept apart so QueryMask inlines).
+func (c *BatchCache) maskMiss(td StateID) uint64 {
 	m := c.src.QueryMask(td)
 	if n := int(max(td+1, c.hintTD)); n > len(c.masks) {
 		c.masks = append(c.masks, make([]uint64, n-len(c.masks))...)
@@ -651,306 +653,64 @@ func batchStateWidth(members []BatchMember, opts DiskBatchOpts) int {
 // aborts the scan in progress; a failed or cancelled run removes the
 // state file and any partially written AuxOut sidecar.
 func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, *DiskStats, error) {
-	res, ds, err := runDiskBatch(ctx, db, members, opts, batchStateWidth(members, opts))
-	if errors.Is(err, errStateWidth) {
-		res, ds, err = runDiskBatch(ctx, db, members, opts, stateWide)
+	if err := checkDiskRun(db, members, opts); err != nil {
+		return nil, nil, err
 	}
-	return res, ds, err
-}
-
-func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts, width int) ([]*Result, *DiskStats, error) {
-	var agg Stats
-	nm := len(members)
-	if nm == 0 {
-		return nil, nil, errors.New("core: empty batch")
-	}
-	if db.N == 0 {
-		return nil, nil, errors.New("core: empty database")
-	}
-	for _, bm := range members {
-		if bm.E.names != db.Names {
-			return nil, nil, errors.New("core: engine name table does not match database")
-		}
-	}
-	stride := nm * width
-	res := make([]*Result, nm)
-	caches := make([]*BatchCache, nm)
-	engines := make([]*Engine, nm)
-	for m, bm := range members {
-		res[m] = NewResult(bm.E.c.Prog, db.N)
-		caches[m] = bm.E.ShareTo(opts.Run).NewBatchCache()
-		engines[m] = bm.E
-	}
-	ds := &DiskStats{StateBytes: db.N * int64(stride)}
-
 	// Selectivity-aware pruning: only extents every member proves
 	// irrelevant can be skipped, since the batch shares one scan pair.
 	// Sound only without aux input (aux bits vary per node), without
 	// marked output (every node must be emitted), and without a kept
 	// state file (a pruned file has holes where extents were skipped).
-	var prune *PrunePlan
+	var plan *PrunePlan
 	if opts.prunable() && db.N >= PruneMinNodes {
 		if ix, ierr := db.Index(ctx, 0); ierr == nil {
-			prune = PlanPrune(engines, ix, db.N)
+			plan = PlanPrune(engines(members), ix, db.N)
 		}
 	}
-	var pruneExts []storage.Extent
-	if prune != nil {
-		pruneExts = prune.Extents
-	}
-
-	var auxF *os.File
-	if opts.AuxIn != "" {
-		var err error
-		auxF, err = storage.OpenMaskFile(opts.AuxIn, db.N, opts.AuxInStride)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer auxF.Close()
-	}
-
-	stateF, err := createStateFile(db)
-	if err != nil {
-		return nil, nil, err
-	}
-	statePath := stateF.Name()
-	succeeded := false
-	defer func() {
-		stateF.Close()
-		if !opts.KeepStateFile || !succeeded {
-			os.Remove(statePath)
-		}
-	}()
-
-	// Phase 1: one backward scan; every node steps all member automata
-	// and streams the widened state vector.
-	start := time.Now()
-	var auxBack *storage.BackwardReader
-	if auxF != nil {
-		auxBack, err = storage.MaskBackward(auxF, 0, db.N, opts.AuxInStride)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer auxBack.Release()
-	}
-	sw := &runWriter{f: stateF}
-	stateBuf := make([]byte, stride)
-	var free [][]StateID
-	var werr error
-	rootVec, scan1, err := storage.FoldBottomUpSkipping(ctx, db, pruneExts,
-		func(x storage.Extent) ([]StateID, error) {
-			// Hand the fold a fresh copy: it recycles child vectors freely.
-			return prune.SubVec(), nil
-		},
-		func(first, second *[]StateID, rec storage.Record, v int64) []StateID {
-			out := takeVec(&free, first, second, nm)
-			var auxVec []byte
-			if auxBack != nil {
-				b, err := auxBack.Next()
-				if err != nil && werr == nil {
-					werr = fmt.Errorf("core: reading aux file: %w", err)
-				} else if err == nil {
-					auxVec = b
-				}
-			}
-			recBits := rec.Encode()
-			root := v == 0
-			for m, bm := range members {
-				left, right := NoState, NoState
-				if first != nil {
-					left = (*first)[m]
-				}
-				if second != nil {
-					right = (*second)[m]
-				}
-				var extra uint16
-				if auxVec != nil && bm.AuxInSlot >= 0 {
-					extra = binary.BigEndian.Uint16(auxVec[bm.AuxInSlot*storage.MaskSize:])
-				}
-				c := caches[m]
-				id := c.BUStep(left, right, c.SigID(recBits, root, extra))
-				out[m] = id
-				if err := putState(stateBuf[m*width:], width, id); err != nil && werr == nil {
-					werr = err
-				}
-			}
-			sw.writeAt(stateBuf, (db.N-1-v)*int64(stride))
-			return out
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	if werr == nil {
-		werr = sw.flush()
-	}
-	if werr != nil {
-		if errors.Is(werr, errStateWidth) {
-			return nil, nil, werr
-		}
-		return nil, nil, fmt.Errorf("core: writing state file: %w", werr)
-	}
-	if prune != nil {
-		scan1.SkippedBytes += prune.Nodes * storage.NodeSize
-	}
-	ds.Phase1 = scan1
-	agg.Phase1Time = time.Since(start)
-
-	// Phase 2: one forward scan; the state file, read backwards, yields
-	// the phase-1 vectors in preorder.
-	start = time.Now()
-	br, err := storage.NewBackwardReader(stateF, db.N*int64(stride), stride)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer br.Release()
-	var auxFwd *bufio.Reader
-	if auxF != nil {
-		auxFwd = storage.MaskForward(auxF, 0, db.N, opts.AuxInStride)
-	}
-	em := opts.Mark.emitter(db.Names)
-	markBit := uint64(1) << uint(opts.Mark.Query)
-	var auxOut *bufio.Writer
-	var auxOutF *os.File
-	if opts.AuxOut != "" {
-		auxOutF, err = os.Create(opts.AuxOut)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer func() {
-			auxOutF.Close()
-			if !succeeded {
-				os.Remove(opts.AuxOut)
-			}
-		}()
-		auxOut = bufio.NewWriterSize(auxOutF, 1<<16)
-	}
-	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-	outVec := make([]byte, storage.MaskStride(opts.AuxOutStride))
-
-	arena := tdArena{nm: nm}
-	scan2, err := storage.ScanTopDownSkipping(ctx, db, pruneExts,
-		func(x storage.Extent, parent *int32, k int) error {
-			if err := br.Skip(x.Size); err != nil {
-				return err
-			}
-			if auxOut != nil {
-				// No node of a pruned extent is selected and prunable
-				// rounds have no aux input, so its slots are all zero.
-				if err := writeZeros(auxOut, x.Size*int64(len(outVec))); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func(v int64, rec storage.Record, parent *int32, k int) (int32, error) {
-			b, err := br.Next()
-			if err != nil {
-				return 0, fmt.Errorf("core: reading state file: %w", err)
-			}
-			var d int32
-			var pvec []StateID
-			if parent == nil {
-				if v != 0 {
-					return 0, fmt.Errorf("core: parentless node %d", v)
-				}
-			} else {
-				d = childDepth(*parent, k)
-				pvec = arena.at(*parent)
-			}
-			// A second child shares its parent's slot: each member's
-			// step reads the parent's state before overwriting it.
-			tvec := arena.at(d)
-			if auxFwd != nil {
-				if _, err := io.ReadFull(auxFwd, inVec); err != nil {
-					return 0, fmt.Errorf("core: reading aux file: %w", err)
-				}
-			}
-			if auxOut != nil {
-				for i := range outVec {
-					outVec[i] = 0
-				}
-			}
-			var selected bool
-			for m, bm := range members {
-				bu := getState(b[m*width:], width)
-				c := caches[m]
-				var td StateID
-				if parent == nil {
-					if bu != rootVec[m] {
-						return 0, fmt.Errorf("core: state file corrupt: root state %d, phase 1 computed %d", bu, rootVec[m])
-					}
-					td = c.RootTrueSet(bu)
-				} else {
-					td = c.TDStep(pvec[m], bu, k)
-				}
-				tvec[m] = td
-				mask := c.QueryMask(td)
-				if mask != 0 {
-					res[m].MarkMask(mask, v)
-				}
-				if m == 0 {
-					selected = mask&markBit != 0
-				}
-				if auxOut != nil && bm.AuxOutSlot >= 0 {
-					var cur uint16
-					if auxFwd != nil && bm.AuxInSlot >= 0 {
-						cur = binary.BigEndian.Uint16(inVec[bm.AuxInSlot*storage.MaskSize:])
-					}
-					if mask&(1<<uint(bm.AuxOutQuery)) != 0 {
-						cur |= 1 << bm.AuxOutBit
-					}
-					binary.BigEndian.PutUint16(outVec[bm.AuxOutSlot*storage.MaskSize:], cur)
-				}
-			}
-			if auxOut != nil {
-				if _, err := auxOut.Write(outVec); err != nil {
-					return 0, err
-				}
-			}
-			if em != nil {
-				if err := em.Node(v, rec, selected); err != nil {
-					return 0, err
-				}
-			}
-			return d, nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	if auxOut != nil {
-		if err := auxOut.Flush(); err != nil {
-			return nil, nil, err
-		}
-		if err := auxOutF.Close(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if em != nil {
-		if err := em.Finish(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if prune != nil {
-		scan2.SkippedBytes += prune.Nodes * storage.NodeSize
-	}
-	ds.Phase2 = scan2
-	agg.Phase2Time = time.Since(start)
-	return finishDiskRun(members, opts, db.N, prune, agg, res, ds, statePath, &succeeded)
+	return runKernel(ctx, db, 1, members, opts, nil, plan)
 }
 
-// finishDiskRun completes a successful disk run: it accounts the run
-// (only now, so a narrow-width restart or stale-index retry never
-// double-counts an aborted attempt), reports a kept state file, and
-// marks the run succeeded for the cleanup deferred by its caller.
-func finishDiskRun(members []BatchMember, opts DiskBatchOpts, n int64, plan *PrunePlan, agg Stats, res []*Result, ds *DiskStats, statePath string, succeeded *bool) ([]*Result, *DiskStats, error) {
-	AccountRun(members, opts.Run, n, plan, agg)
-	if opts.KeepStateFile {
-		for _, r := range res {
-			r.StateFile = statePath
+// runKernel runs the disk kernel (runDiskOnce) at the members' narrowest
+// state width, restarting at stateWide when lazy construction outgrows
+// it mid-run.
+func runKernel(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts, tasks []storage.Extent, plan *PrunePlan) ([]*Result, *DiskStats, error) {
+	res, ds, err := runDiskOnce(ctx, db, workers, members, opts, tasks, batchStateWidth(members, opts), plan)
+	if errors.Is(err, errStateWidth) {
+		res, ds, err = runDiskOnce(ctx, db, workers, members, opts, tasks, stateWide, plan)
+	}
+	return res, ds, err
+}
+
+// checkDiskRun rejects runs the kernel cannot evaluate, among them aux
+// slots outside their sidecar's stride.
+func checkDiskRun(db *storage.DB, members []BatchMember, opts DiskBatchOpts) error {
+	if len(members) == 0 {
+		return errors.New("core: empty batch")
+	}
+	if db.N == 0 {
+		return errors.New("core: empty database")
+	}
+	for _, bm := range members {
+		if bm.E.names != db.Names {
+			return errors.New("core: engine name table does not match database")
+		}
+		if (opts.AuxIn != "" && bm.AuxInSlot >= opts.AuxInStride) || (opts.AuxOut != "" && bm.AuxOutSlot >= opts.AuxOutStride) {
+			return errors.New("core: aux slot outside the sidecar stride")
 		}
 	}
-	*succeeded = true
-	return res, ds, nil
+	if (opts.AuxIn != "" && opts.AuxInStride < 1) || (opts.AuxOut != "" && opts.AuxOutStride < 1) {
+		return errors.New("core: aux sidecar stride must be positive")
+	}
+	return nil
+}
+
+// engines returns the members' engines.
+func engines(members []BatchMember) []*Engine {
+	es := make([]*Engine, len(members))
+	for m, bm := range members {
+		es[m] = bm.E
+	}
+	return es
 }
 
 // createStateFile creates a run's phase-1 state file: a unique temporary
@@ -972,10 +732,10 @@ func createStateFile(db *storage.DB) (*os.File, error) {
 // Parallelism comes from the preorder layout (Sections 6.2/7 of the
 // paper): every subtree is one contiguous byte range, so the database's
 // subtree index cuts the file into a frontier of chunks that workers
-// stream independently — each through its own buffered reader and
-// private dense caches backed by the members' shared automata, writing
-// its slice of the state file at its own offset — while the leader scans
-// the glue between chunks. On balanced trees (ACGT-infix) the phases
+// stream independently — each with its own pooled blocks and private
+// dense caches backed by the members' shared automata, writing its slice
+// of the state file at its own offset — while the leader scans the glue
+// between chunks (runDiskOnce). On balanced trees (ACGT-infix) the phases
 // divide evenly; on degenerate right-deep trees (ACGT-flat) the frontier
 // collapses and evaluation degrades toward sequential.
 //
@@ -989,13 +749,8 @@ func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, memb
 	if workers == 1 || db.N < parMinNodes || opts.Mark.To != nil {
 		return RunDiskBatch(ctx, db, members, opts)
 	}
-	if db.N == 0 {
-		return nil, nil, errors.New("core: empty database")
-	}
-	for _, bm := range members {
-		if bm.E.names != db.Names {
-			return nil, nil, errors.New("core: engine name table does not match database")
-		}
+	if err := checkDiskRun(db, members, opts); err != nil {
+		return nil, nil, err
 	}
 	idx, err := db.Index(ctx, 0)
 	if err != nil {
@@ -1010,16 +765,9 @@ func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, memb
 		}
 		var plan *PrunePlan
 		if opts.prunable() {
-			engines := make([]*Engine, len(members))
-			for m, bm := range members {
-				engines[m] = bm.E
-			}
-			plan = PlanPrune(engines, idx, db.N)
+			plan = PlanPrune(engines(members), idx, db.N)
 		}
-		res, ds, err := runDiskBatchChunked(ctx, db, workers, members, opts, tasks, batchStateWidth(members, opts), plan)
-		if errors.Is(err, errStateWidth) {
-			res, ds, err = runDiskBatchChunked(ctx, db, workers, members, opts, tasks, stateWide, plan)
-		}
+		res, ds, err := runKernel(ctx, db, workers, members, opts, tasks, plan)
 		return res, ds, err, true
 	}
 	res, ds, err, chunked := run(idx)
@@ -1035,583 +783,4 @@ func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, memb
 		res, ds, err, _ = run(idx)
 	}
 	return res, ds, err
-}
-
-// runDiskBatchChunked is one attempt at chunk-parallel batch evaluation
-// over a frontier cut; RunDiskBatchParallel wraps it with the stale-index
-// retry. When a prune plan is given, tasks swallowed by a pruned extent
-// never run, workers seek past pruned extents inside their own chunks,
-// and the leader's glue scan skips the remaining pruned holes.
-func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts, tasks []storage.Extent, width int, plan *PrunePlan) ([]*Result, *DiskStats, error) {
-	var agg Stats
-	nm := len(members)
-	stride := nm * width
-	var planExts []storage.Extent
-	if plan != nil {
-		planExts = plan.Extents
-	}
-	tasks, inner, outer := SplitPrune(tasks, planExts)
-	if len(tasks) == 0 {
-		return RunDiskBatch(ctx, db, members, opts)
-	}
-	leaderSkip, taskOf := mergeSkipLists(tasks, outer)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	gaps := gapsOf(db.N, leaderSkip)
-
-	res := make([]*Result, nm)
-	shared := make([]*SharedEngine, nm)
-	for m, bm := range members {
-		res[m] = NewResult(bm.E.c.Prog, db.N)
-		shared[m] = bm.E.ShareTo(opts.Run)
-	}
-	ds := &DiskStats{StateBytes: db.N * int64(stride)}
-
-	var auxF *os.File
-	if opts.AuxIn != "" {
-		var err error
-		auxF, err = storage.OpenMaskFile(opts.AuxIn, db.N, opts.AuxInStride)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer auxF.Close()
-	}
-
-	stateF, err := createStateFile(db)
-	if err != nil {
-		return nil, nil, err
-	}
-	statePath := stateF.Name()
-	succeeded := false
-	defer func() {
-		stateF.Close()
-		if !opts.KeepStateFile || !succeeded {
-			os.Remove(statePath)
-		}
-	}()
-
-	// Per-worker, per-member dense caches backed by the shared automata,
-	// reused across both phases.
-	caches := make([][]*BatchCache, workers)
-	for w := range caches {
-		caches[w] = make([]*BatchCache, nm)
-		for m := range caches[w] {
-			caches[w][m] = shared[m].NewBatchCache()
-		}
-	}
-	leader := make([]*BatchCache, nm)
-	for m := range leader {
-		leader[m] = shared[m].NewBatchCache()
-	}
-
-	buVec := func(cs []*BatchCache, first, second *[]StateID, rec storage.Record, v int64, auxVec []byte, out []StateID, stateBuf []byte, werr *error) {
-		recBits := rec.Encode()
-		root := v == 0
-		for m, bm := range members {
-			left, right := NoState, NoState
-			if first != nil {
-				left = (*first)[m]
-			}
-			if second != nil {
-				right = (*second)[m]
-			}
-			var extra uint16
-			if auxVec != nil && bm.AuxInSlot >= 0 {
-				extra = binary.BigEndian.Uint16(auxVec[bm.AuxInSlot*storage.MaskSize:])
-			}
-			c := cs[m]
-			id := c.BUStep(left, right, c.SigID(recBits, root, extra))
-			out[m] = id
-			if err := putState(stateBuf[m*width:], width, id); err != nil && *werr == nil {
-				*werr = err
-			}
-		}
-	}
-
-	// Phase 1: workers fold their chunks bottom-up, each writing its
-	// slice of the widened state file at its own offset; then the leader
-	// folds the glue, consuming chunk root vectors.
-	start := time.Now()
-	rootVecs := make([][]StateID, len(tasks))
-	var statsMu sync.Mutex
-	var phase1 storage.ScanStats // guarded by: statsMu
-	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
-		x := tasks[i]
-		cs := caches[worker]
-		sw := &runWriter{f: stateF}
-		var auxBack *storage.BackwardReader
-		if auxF != nil {
-			var err error
-			auxBack, err = storage.MaskBackward(auxF, x.Root, x.End(), opts.AuxInStride)
-			if err != nil {
-				return err
-			}
-			defer auxBack.Release()
-		}
-		stateBuf := make([]byte, stride)
-		var free [][]StateID
-		var skipped int64
-		var werr error
-		rootVec, st, err := storage.FoldBottomUpRangeSkipping(ctx, db, x, inner[i],
-			func(sub storage.Extent) ([]StateID, error) {
-				skipped += sub.Size * storage.NodeSize
-				return plan.SubVec(), nil
-			},
-			func(first, second *[]StateID, rec storage.Record, v int64) []StateID {
-				out := takeVec(&free, first, second, nm)
-				var auxVec []byte
-				if auxBack != nil {
-					b, err := auxBack.Next()
-					if err != nil && werr == nil {
-						werr = fmt.Errorf("core: reading aux file: %w", err)
-					} else if err == nil {
-						auxVec = b
-					}
-				}
-				buVec(cs, first, second, rec, v, auxVec, out, stateBuf, &werr)
-				sw.writeAt(stateBuf, (db.N-1-v)*int64(stride))
-				return out
-			})
-		if err != nil {
-			return err
-		}
-		if werr == nil {
-			werr = sw.flush()
-		}
-		if werr != nil {
-			if errors.Is(werr, errStateWidth) {
-				return werr
-			}
-			return fmt.Errorf("core: chunk [%d,%d): %w", x.Root, x.End(), werr)
-		}
-		rootVecs[i] = rootVec
-		statsMu.Lock()
-		phase1.Merge(storage.ScanStats{Bytes: st.Bytes, SkippedBytes: st.SkippedBytes + skipped, MaxStack: st.MaxStack, PhysicalBytes: st.PhysicalBytes})
-		statsMu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Leader glue scan, reverse preorder over everything outside the
-	// chunks, with each chunk standing in as one already-folded subtree.
-	lw := &runWriter{f: stateF}
-	gi := len(gaps) - 1
-	var auxBack *storage.BackwardReader
-	defer func() {
-		if auxBack != nil {
-			auxBack.Release()
-		}
-	}()
-	mi := len(leaderSkip) - 1
-	var leaderSkipped int64
-	stateBuf := make([]byte, stride)
-	var free [][]StateID
-	var werr error
-	rootVec, scan1, err := storage.FoldBottomUpSkipping(ctx, db, leaderSkip,
-		func(x storage.Extent) ([]StateID, error) {
-			ti := taskOf[mi]
-			mi--
-			if ti < 0 {
-				leaderSkipped += x.Size * storage.NodeSize
-				return plan.SubVec(), nil
-			}
-			// Hand the fold a copy: the original must survive for phase 2,
-			// but the fold recycles child vectors freely.
-			return append([]StateID(nil), rootVecs[ti]...), nil
-		},
-		func(first, second *[]StateID, rec storage.Record, v int64) []StateID {
-			if auxF != nil {
-				for gi >= 0 && v < gaps[gi].Root {
-					gi--
-				}
-				if gi < 0 {
-					if werr == nil {
-						werr = fmt.Errorf("core: glue scan lost its gap at node %d", v)
-					}
-				} else if g := gaps[gi]; v == g.End()-1 {
-					if auxBack != nil {
-						auxBack.Release()
-					}
-					var err error
-					auxBack, err = storage.MaskBackward(auxF, g.Root, g.End(), opts.AuxInStride)
-					if err != nil && werr == nil {
-						werr = err
-					}
-				}
-			}
-			out := takeVec(&free, first, second, nm)
-			var auxVec []byte
-			if auxBack != nil {
-				b, err := auxBack.Next()
-				if err != nil && werr == nil {
-					werr = fmt.Errorf("core: reading aux file: %w", err)
-				} else if err == nil {
-					auxVec = b
-				}
-			}
-			buVec(leader, first, second, rec, v, auxVec, out, stateBuf, &werr)
-			lw.writeAt(stateBuf, (db.N-1-v)*int64(stride))
-			return out
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	if werr == nil {
-		werr = lw.flush()
-	}
-	if werr != nil {
-		if errors.Is(werr, errStateWidth) {
-			return nil, nil, werr
-		}
-		return nil, nil, fmt.Errorf("core: writing state file: %w", werr)
-	}
-	scan1.SkippedBytes += leaderSkipped
-	scan1.Merge(phase1)
-	ds.Phase1 = scan1
-	agg.Phase1Time = time.Since(start)
-
-	// Phase 2, leader first: forward over the glue, assigning each chunk
-	// root its top-down entry vector.
-	start = time.Now()
-	var auxOutF *os.File
-	if opts.AuxOut != "" {
-		auxOutF, err = os.Create(opts.AuxOut)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer func() {
-			auxOutF.Close()
-			if !succeeded {
-				os.Remove(opts.AuxOut)
-			}
-		}()
-	}
-	strideOut := storage.MaskStride(opts.AuxOutStride)
-
-	tdRoots := make([][]StateID, len(tasks))
-	mi = 0
-	gi = 0
-	var leaderSkipped2 int64
-	var stateBack *storage.BackwardReader
-	defer func() {
-		if stateBack != nil {
-			stateBack.Release()
-		}
-	}()
-	var auxFwd *bufio.Reader
-	auxOut := &runWriter{f: auxOutF}
-	newGapReaders := func(v int64) error {
-		for gi < len(gaps) && v >= gaps[gi].End() {
-			gi++
-		}
-		if gi >= len(gaps) || v != gaps[gi].Root {
-			return fmt.Errorf("core: glue scan lost its gap at node %d", v)
-		}
-		g := gaps[gi]
-		if stateBack != nil {
-			stateBack.Release()
-		}
-		var err error
-		stateBack, err = storage.NewBackwardSectionReader(stateF, (db.N-g.End())*int64(stride), (db.N-g.Root)*int64(stride), stride)
-		if err != nil {
-			return err
-		}
-		if auxF != nil {
-			auxFwd = storage.MaskForward(auxF, g.Root, g.End(), opts.AuxInStride)
-		}
-		return nil
-	}
-	arena := tdArena{nm: nm}
-	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-	outVec := make([]byte, strideOut)
-	nextGapNode := int64(-1)
-	scan2, err := storage.ScanTopDownSkipping(ctx, db, leaderSkip,
-		func(x storage.Extent, parent *int32, k int) error {
-			ti := taskOf[mi]
-			mi++
-			if ti < 0 {
-				// Pruned hole: no entry vector, no state-file slice; only
-				// the (all-zero) aux slots of its nodes.
-				leaderSkipped2 += x.Size * storage.NodeSize
-				if auxOutF != nil {
-					writeZeroMasksAt(auxOut, x.Root*strideOut, x.Size*strideOut)
-				}
-				return nil
-			}
-			entry := make([]StateID, nm)
-			for m := range members {
-				bu := rootVecs[ti][m]
-				if parent == nil {
-					if x.Root != 0 {
-						return fmt.Errorf("core: parentless chunk at node %d", x.Root)
-					}
-					entry[m] = leader[m].RootTrueSet(bu)
-				} else {
-					entry[m] = leader[m].TDStep(arena.at(*parent)[m], bu, k)
-				}
-			}
-			tdRoots[ti] = entry
-			return nil
-		},
-		func(v int64, rec storage.Record, parent *int32, k int) (int32, error) {
-			if v != nextGapNode {
-				if err := newGapReaders(v); err != nil {
-					return 0, err
-				}
-			}
-			nextGapNode = v + 1
-			b, err := stateBack.Next()
-			if err != nil {
-				return 0, fmt.Errorf("core: reading state file: %w", err)
-			}
-			var d int32
-			var pvec []StateID
-			if parent == nil {
-				if v != 0 {
-					return 0, fmt.Errorf("core: parentless node %d", v)
-				}
-			} else {
-				d = childDepth(*parent, k)
-				pvec = arena.at(*parent)
-			}
-			// A second child shares its parent's slot: each member's
-			// step reads the parent's state before overwriting it.
-			tvec := arena.at(d)
-			if auxFwd != nil {
-				if _, err := io.ReadFull(auxFwd, inVec); err != nil {
-					return 0, fmt.Errorf("core: reading aux file: %w", err)
-				}
-			}
-			if auxOutF != nil {
-				for i := range outVec {
-					outVec[i] = 0
-				}
-			}
-			for m, bm := range members {
-				bu := getState(b[m*width:], width)
-				c := leader[m]
-				var td StateID
-				if parent == nil {
-					if bu != rootVec[m] {
-						return 0, fmt.Errorf("core: state file corrupt: root state %d, phase 1 computed %d", bu, rootVec[m])
-					}
-					td = c.RootTrueSet(bu)
-				} else {
-					td = c.TDStep(pvec[m], bu, k)
-				}
-				tvec[m] = td
-				mask := c.QueryMask(td)
-				if mask != 0 {
-					// Workers are not running yet: marking needs no lock.
-					res[m].MarkMask(mask, v)
-				}
-				if auxOutF != nil && bm.AuxOutSlot >= 0 {
-					var cur uint16
-					if auxFwd != nil && bm.AuxInSlot >= 0 {
-						cur = binary.BigEndian.Uint16(inVec[bm.AuxInSlot*storage.MaskSize:])
-					}
-					if mask&(1<<uint(bm.AuxOutQuery)) != 0 {
-						cur |= 1 << bm.AuxOutBit
-					}
-					binary.BigEndian.PutUint16(outVec[bm.AuxOutSlot*storage.MaskSize:], cur)
-				}
-			}
-			if auxOutF != nil {
-				auxOut.writeAt(outVec, v*strideOut)
-			}
-			return d, nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Phase 2, workers: descend into the chunks from their entry vectors,
-	// accumulating marks in private per-chunk bitsets per member.
-	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
-		x := tasks[i]
-		cs := caches[worker]
-		stateBack, err := storage.NewBackwardSectionReader(stateF, (db.N-x.End())*int64(stride), (db.N-x.Root)*int64(stride), stride)
-		if err != nil {
-			return err
-		}
-		defer stateBack.Release()
-		var auxFwd *bufio.Reader
-		if auxF != nil {
-			auxFwd = storage.MaskForward(auxF, x.Root, x.End(), opts.AuxInStride)
-		}
-		var auxOut *bufio.Writer
-		if auxOutF != nil {
-			auxOut = bufio.NewWriterSize(io.NewOffsetWriter(auxOutF, x.Root*strideOut), 1<<16)
-		}
-		w0 := x.Root / 64
-		words := (x.End()-1)/64 - w0 + 1
-		local := make([][][]uint64, nm)
-		for m := range local {
-			local[m] = make([][]uint64, len(res[m].queries))
-			for qi := range local[m] {
-				local[m][qi] = make([]uint64, words)
-			}
-		}
-		arena := tdArena{nm: nm}
-		inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-		outVec := make([]byte, strideOut)
-		var skipped int64
-		st, err := storage.ScanTopDownRangeSkipping(ctx, db, x, inner[i], func(sub storage.Extent, parent *int32, k int) error {
-			if err := stateBack.Skip(sub.Size); err != nil {
-				return err
-			}
-			skipped += sub.Size * storage.NodeSize
-			if auxOut != nil {
-				if err := writeZeros(auxOut, sub.Size*strideOut); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, func(v int64, rec storage.Record, parent *int32, k int) (int32, error) {
-			b, err := stateBack.Next()
-			if err != nil {
-				return 0, fmt.Errorf("core: reading state file: %w", err)
-			}
-			var d int32
-			var pvec []StateID
-			if parent != nil {
-				d = childDepth(*parent, k)
-				pvec = arena.at(*parent)
-			}
-			tvec := arena.at(d)
-			if auxFwd != nil {
-				if _, err := io.ReadFull(auxFwd, inVec); err != nil {
-					return 0, fmt.Errorf("core: reading aux file: %w", err)
-				}
-			}
-			if auxOut != nil {
-				for i := range outVec {
-					outVec[i] = 0
-				}
-			}
-			for m, bm := range members {
-				bu := getState(b[m*width:], width)
-				c := cs[m]
-				var td StateID
-				if parent == nil {
-					// Chunk root: phase 1 of this very chunk computed its
-					// state, so a mismatch means the file changed under us.
-					if bu != rootVecs[i][m] {
-						return 0, fmt.Errorf("core: state file corrupt: chunk root state %d, phase 1 computed %d", bu, rootVecs[i][m])
-					}
-					td = tdRoots[i][m]
-				} else {
-					td = c.TDStep(pvec[m], bu, k)
-				}
-				tvec[m] = td
-				mask := c.QueryMask(td)
-				for mm, qi := mask, 0; mm != 0; qi++ {
-					if mm&1 != 0 {
-						local[m][qi][v/64-w0] |= 1 << uint(v%64)
-					}
-					mm >>= 1
-				}
-				if auxOut != nil && bm.AuxOutSlot >= 0 {
-					var cur uint16
-					if auxFwd != nil && bm.AuxInSlot >= 0 {
-						cur = binary.BigEndian.Uint16(inVec[bm.AuxInSlot*storage.MaskSize:])
-					}
-					if mask&(1<<uint(bm.AuxOutQuery)) != 0 {
-						cur |= 1 << bm.AuxOutBit
-					}
-					binary.BigEndian.PutUint16(outVec[bm.AuxOutSlot*storage.MaskSize:], cur)
-				}
-			}
-			if auxOut != nil {
-				if _, err := auxOut.Write(outVec); err != nil {
-					return 0, err
-				}
-			}
-			return d, nil
-		})
-		if err != nil {
-			return err
-		}
-		if auxOut != nil {
-			if err := auxOut.Flush(); err != nil {
-				return err
-			}
-		}
-		for m := range local {
-			for qi := range local[m] {
-				res[m].MergeWords(qi, w0, local[m][qi])
-			}
-		}
-		statsMu.Lock()
-		scan2.Merge(storage.ScanStats{Bytes: st.Bytes, SkippedBytes: st.SkippedBytes + skipped, MaxStack: st.MaxStack, PhysicalBytes: st.PhysicalBytes})
-		statsMu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if werr := auxOut.flush(); werr != nil {
-		return nil, nil, werr
-	}
-	if auxOutF != nil {
-		if err := auxOutF.Close(); err != nil {
-			return nil, nil, err
-		}
-	}
-	scan2.SkippedBytes += leaderSkipped2
-	ds.Phase2 = scan2
-	agg.Phase2Time = time.Since(start)
-	return finishDiskRun(members, opts, db.N, plan, agg, res, ds, statePath, &succeeded)
-}
-
-// tdArena holds the top-down state vectors a forward scan still needs,
-// indexed by document depth: a node's vector is read by its first child
-// (one level deeper) and by its second child — its next sibling, at the
-// same depth, which reuses the slot once its own step has read it. The
-// scan's S value is the node's depth, so memory stays bounded by the
-// document depth (Proposition 5.1), not by the depth of the binary
-// encoding, which grows with every sibling chain.
-type tdArena struct {
-	nm   int
-	vecs [][]StateID
-}
-
-// at returns the vector of depth d.
-func (a *tdArena) at(d int32) []StateID {
-	for int(d) >= len(a.vecs) {
-		a.vecs = append(a.vecs, make([]StateID, a.nm))
-	}
-	return a.vecs[d]
-}
-
-// childDepth is the depth of the k-th child of a node at depth d.
-func childDepth(d int32, k int) int32 {
-	if k == 1 {
-		return d + 1
-	}
-	return d
-}
-
-// takeVec hands the bottom-up fold an output vector, recycling popped
-// child vectors so allocation stays bounded by the scan stack depth.
-func takeVec(free *[][]StateID, first, second *[]StateID, nm int) []StateID {
-	switch {
-	case first != nil:
-		if second != nil {
-			*free = append(*free, *second)
-		}
-		return *first
-	case second != nil:
-		return *second
-	default:
-		if k := len(*free); k > 0 {
-			out := (*free)[k-1]
-			*free = (*free)[:k-1]
-			return out
-		}
-		return make([]StateID, nm)
-	}
 }

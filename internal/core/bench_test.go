@@ -13,12 +13,12 @@ import (
 // cost (two hash lookups), cold warm-up (LTUR + Contract per new
 // transition), and the in-memory vs two-scan-disk drivers.
 
-func benchProgram(b *testing.B) *tmnf.Program {
-	b.Helper()
+func benchProgram(tb testing.TB) *tmnf.Program {
+	tb.Helper()
 	rx := workload.PathRegex{W1: []string{"A", "C"}, W2: []string{"G"}, W3: []string{"T"}}
 	prog, err := rx.Program(workload.RFlat)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return prog
 }

@@ -31,8 +31,6 @@
 package core
 
 import (
-	"io"
-
 	"arb/internal/edb"
 	"arb/internal/horn"
 	"arb/internal/storage"
@@ -248,10 +246,6 @@ func (p *PrunePlan) PhysicalSavings(db *storage.DB) int64 {
 	return sum
 }
 
-// SubVec returns a fresh copy of the per-engine substitute state vector
-// (batch drivers hand it to folds that recycle vectors freely).
-func (p *PrunePlan) SubVec() []StateID { return append([]StateID(nil), p.subs...) }
-
 // PlanPrune runs the pruning analysis for every engine and selects the
 // maximal index extents whose label signatures are disjoint from the
 // union of the engines' live sets — an extent is only prunable if it is
@@ -337,38 +331,4 @@ func mergeSkipLists(tasks, pruned []storage.Extent) (exts []storage.Extent, task
 		}
 	}
 	return exts, taskOf
-}
-
-// zeroMasks is a reusable block of zero bytes for streaming the aux-mask
-// slots of pruned extents (no node of a pruned extent is ever selected,
-// and prunable passes have no aux input to propagate).
-var zeroMasks [1 << 15]byte
-
-// writeZeros writes n zero bytes to w in blocks.
-func writeZeros(w io.Writer, n int64) error {
-	for n > 0 {
-		c := n
-		if c > int64(len(zeroMasks)) {
-			c = int64(len(zeroMasks))
-		}
-		if _, err := w.Write(zeroMasks[:c]); err != nil {
-			return err
-		}
-		n -= c
-	}
-	return nil
-}
-
-// writeZeroMasksAt writes n zero bytes at offset off through a
-// run-batched writer (errors surface at the writer's flush).
-func writeZeroMasksAt(w *runWriter, off, n int64) {
-	for n > 0 {
-		c := n
-		if c > int64(len(zeroMasks)) {
-			c = int64(len(zeroMasks))
-		}
-		w.writeAt(zeroMasks[:c], off)
-		off += c
-		n -= c
-	}
 }

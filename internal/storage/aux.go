@@ -1,19 +1,19 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 )
 
 // Auxiliary-mask sidecar files carry per-node predicate bitmasks alongside
 // a database, preserving the two-linear-scans property: phase 1 reads them
-// backwards in step with the .arb scan, phase 2 forwards. A sidecar of
-// stride s holds, for every node in preorder, a vector of s big-endian
-// uint16 masks — stride 1 is the single-query chain of multi-pass XPath
-// evaluation, stride > 1 is the widened form batch execution uses to give
-// every member query its own slot in one shared file.
+// backwards in step with the .arb scan, phase 2 reads them forwards and
+// writes the next pass's sidecar, a block of nodes at a time (Blocks with
+// a MaskStride unit). A sidecar of stride s holds, for every node in
+// preorder, a vector of s big-endian uint16 masks — stride 1 is the
+// single-query chain of multi-pass XPath evaluation, stride > 1 is the
+// widened form batch execution uses to give every member query its own
+// slot in one shared file.
 
 // MaskSize is the on-disk size of one auxiliary predicate mask.
 const MaskSize = 2
@@ -40,18 +40,4 @@ func OpenMaskFile(path string, n int64, stride int) (*os.File, error) {
 			path, st.Size(), want, n, stride)
 	}
 	return f, nil
-}
-
-// MaskBackward returns a backward reader over the mask vectors of nodes
-// [lo, hi), one stride-wide vector per Next call.
-func MaskBackward(f io.ReaderAt, lo, hi int64, stride int) (*BackwardReader, error) {
-	w := MaskStride(stride)
-	return NewBackwardSectionReader(f, lo*w, hi*w, int(w))
-}
-
-// MaskForward returns a buffered forward reader over the mask vectors of
-// nodes [lo, hi); callers consume one stride-wide vector per node.
-func MaskForward(f io.ReaderAt, lo, hi int64, stride int) *bufio.Reader {
-	w := MaskStride(stride)
-	return bufio.NewReaderSize(io.NewSectionReader(f, lo*w, (hi-lo)*w), scanBufSize)
 }

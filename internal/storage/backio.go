@@ -11,33 +11,98 @@ import (
 // creation and output.
 const defaultBufSize = 1 << 18
 
-// scanBufSize is the buffer size of the evaluation scans' readers
-// (backward and forward). Backward scans read the file in chunks from
-// the end so the disk still sees (reverse-)sequential access patterns.
-// A query holds a few of these at once — record, state and aux readers —
-// and the pools below keep them live between queries, so they are sized
-// for per-call overhead well under the per-node work of a chunk, not
-// larger.
+// scanBufSize is the block size of the scans: records, phase-1 state
+// vectors and aux masks are read a block at a time with one ReadAt (and
+// state vectors and masks written with one WriteAt), forwards or
+// backwards, so the disk sees large (reverse-)sequential transfers and
+// the per-node loops touch only memory. A query holds a few blocks at
+// once — records, states, aux in and out — and the pool below keeps them
+// live between queries, so they are sized for per-call overhead well
+// under the per-node work of a block, not larger.
 const scanBufSize = 1 << 16
 
-// backBufPool recycles BackwardReader buffers: the skipping scan paths
-// open one reader per region between extents, and pooling the buffers
-// keeps allocation churn flat however many extents a frontier or pruning
-// plan has. Readers return their buffer through Release.
+// backBufPool recycles scan blocks (Blocks, BackwardReader) across
+// scans: every scan, and every worker of a parallel run, takes a few,
+// and pooling keeps allocation flat however many queries run. Owners
+// return their buffer through Release.
 var backBufPool = sync.Pool{
 	New: func() interface{} { return make([]byte, scanBufSize) },
 }
 
-// BackwardReader reads a section of a file from its end towards its start
-// in fixed-size units, buffering chunk-wise. It is used for the bottom-up
-// .arb scan, for reading the event file backwards during database
-// creation, and for reading the phase-1 state file in preorder. Because it
-// uses ReadAt exclusively, any number of BackwardReaders may share one
-// file handle concurrently — the parallel disk evaluator gives each
-// worker its own reader over its own chunk.
+// getBuf returns a pooled scan buffer of at least n bytes.
+func getBuf(n int) []byte {
+	raw := backBufPool.Get().([]byte)
+	if len(raw) < n {
+		backBufPool.Put(raw)
+		raw = make([]byte, n)
+	}
+	return raw
+}
+
+// ReadFullAt fills p from r at offset off. io.ReaderAt lets a read that
+// ends exactly at the end of the input return (len(p), io.EOF); that is
+// a full read. A short read reports io.ErrUnexpectedEOF.
+func ReadFullAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Blocks is a pooled scan block over a file addressed in fixed-size
+// units — 2-byte records, one node's state vector, one node's aux masks.
+// Read fetches a unit range with one ReadAt; Buf lends the buffer for
+// building a block to write. A block holds Len units, so the kernels
+// step through a region Len nodes at a time, in either direction. Any
+// number of Blocks may share one file: they only use ReadAt.
+type Blocks struct {
+	f    io.ReaderAt
+	unit int64
+	raw  []byte
+}
+
+// NewBlocks returns a block of whole unit-byte units over f (nil for a
+// write-only block). Release returns its buffer to the pool.
+func NewBlocks(f io.ReaderAt, unit int) *Blocks {
+	return &Blocks{f: f, unit: int64(unit), raw: getBuf(unit)}
+}
+
+// Len returns the number of units a block holds.
+func (b *Blocks) Len() int64 { return int64(len(b.raw)) / b.unit }
+
+// Read reads units [lo, hi) (at most Len of them) with one ReadAt; the
+// returned slice is valid until the next Read or Buf.
+func (b *Blocks) Read(lo, hi int64) ([]byte, error) {
+	p := b.raw[:(hi-lo)*b.unit]
+	if err := ReadFullAt(b.f, p, lo*b.unit); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Buf returns the buffer space of n units (at most Len).
+func (b *Blocks) Buf(n int64) []byte { return b.raw[:n*b.unit] }
+
+// Release returns the buffer to the pool; the block must not be used
+// afterwards.
+func (b *Blocks) Release() {
+	if b.raw != nil {
+		backBufPool.Put(b.raw)
+		b.raw = nil
+	}
+}
+
+// BackwardReader reads a file from a given offset back towards offset 0
+// in fixed-size units, buffering a block at a time — the unit-at-a-time
+// form of Blocks, used to read the event file backwards during database
+// creation. Because it uses ReadAt exclusively, any number of
+// BackwardReaders may share one file handle concurrently.
 type BackwardReader struct {
 	f        io.ReaderAt
-	start    int64 // lower bound of the section (inclusive)
 	pos      int64 // file offset of the start of buf's valid region
 	raw      []byte
 	buf      []byte
@@ -46,27 +111,15 @@ type BackwardReader struct {
 }
 
 // NewBackwardReader returns a reader over f positioned at offset end,
-// yielding units of unitSize bytes from the end backwards to offset 0.
-// end must be a multiple of unitSize.
+// yielding units of unitSize bytes from the end backwards to offset 0;
+// Next returns io.EOF once offset 0 is reached. end must be a multiple
+// of unitSize.
 func NewBackwardReader(f io.ReaderAt, end int64, unitSize int) (*BackwardReader, error) {
-	return NewBackwardSectionReader(f, 0, end, unitSize)
-}
-
-// NewBackwardSectionReader returns a reader yielding the units of
-// f[start:end] from the end backwards; Next returns io.EOF once start is
-// reached. end-start must be a multiple of unitSize.
-func NewBackwardSectionReader(f io.ReaderAt, start, end int64, unitSize int) (*BackwardReader, error) {
-	if start < 0 || end < start {
-		return nil, fmt.Errorf("storage: bad backward section [%d, %d)", start, end)
+	if end < 0 || end%int64(unitSize) != 0 {
+		return nil, fmt.Errorf("storage: section size %d not a multiple of unit size %d", end, unitSize)
 	}
-	if (end-start)%int64(unitSize) != 0 {
-		return nil, fmt.Errorf("storage: section size %d not a multiple of unit size %d", end-start, unitSize)
-	}
-	raw := backBufPool.Get().([]byte)
-	if len(raw) < unitSize {
-		raw = make([]byte, unitSize)
-	}
-	return &BackwardReader{f: f, start: start, pos: end, unitSize: unitSize, raw: raw,
+	raw := getBuf(unitSize)
+	return &BackwardReader{f: f, pos: end, unitSize: unitSize, raw: raw,
 		buf: raw[:len(raw)/unitSize*unitSize]}, nil
 }
 
@@ -80,42 +133,17 @@ func (r *BackwardReader) Release() {
 	}
 }
 
-// Skip moves the reader backwards past units whole units without reading
-// them — the seek primitive behind selectivity-aware pruning (the skipped
-// section of a state file was never written, so it must never be read).
-func (r *BackwardReader) Skip(units int64) error {
-	n := units * int64(r.unitSize)
-	if n < 0 {
-		return fmt.Errorf("storage: negative backward skip")
-	}
-	if buffered := int64(r.have); n <= buffered {
-		r.have -= int(n)
-		return nil
-	} else {
-		n -= buffered
-		r.have = 0
-	}
-	if r.pos-n < r.start {
-		return fmt.Errorf("storage: backward skip of %d units crosses the section start", units)
-	}
-	r.pos -= n
-	return nil
-}
-
 // Next returns the next unit (moving backwards), or io.EOF when the start
 // of the section has been reached. The returned slice is valid until the
 // following call.
 func (r *BackwardReader) Next() ([]byte, error) {
 	if r.have == 0 {
-		if r.pos == r.start {
+		if r.pos == 0 {
 			return nil, io.EOF
 		}
-		n := int64(len(r.buf))
-		if n > r.pos-r.start {
-			n = r.pos - r.start
-		}
+		n := min(int64(len(r.buf)), r.pos)
 		r.pos -= n
-		if _, err := r.f.ReadAt(r.buf[:n], r.pos); err != nil {
+		if err := ReadFullAt(r.f, r.buf[:n], r.pos); err != nil {
 			return nil, err
 		}
 		r.have = int(n)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -122,29 +121,36 @@ func TestBatchScanCancel(t *testing.T) {
 		t.Error("OpenMaskFile accepted a sidecar with the wrong stride")
 	}
 
-	// The stride readers yield slot vectors in step with the scans.
-	back, err := MaskBackward(maskF, 1, db.N, stride)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := db.N - 1; v >= 1; v-- {
-		b, err := back.Next()
+	// Mask blocks yield slot vectors in step with the scans, read
+	// backwards (phase 1) and forwards (phase 2) a block at a time.
+	blk := NewBlocks(maskF, int(MaskStride(stride)))
+	defer blk.Release()
+	w := MaskStride(stride)
+	for hi := db.N; hi > 1; {
+		lo := max(1, hi-blk.Len())
+		b, err := blk.Read(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := binary.BigEndian.Uint16(b[2*MaskSize:]); got != uint16(v)+2 {
-			t.Fatalf("backward mask at node %d slot 2: %d, want %d", v, got, uint16(v)+2)
+		for v := hi - 1; v >= lo; v-- {
+			if got := binary.BigEndian.Uint16(b[(v-lo)*w+2*MaskSize:]); got != uint16(v)+2 {
+				t.Fatalf("backward mask at node %d slot 2: %d, want %d", v, got, uint16(v)+2)
+			}
 		}
+		hi = lo
 	}
-	fwd := MaskForward(maskF, 0, db.N, stride)
-	vec := make([]byte, MaskStride(stride))
-	for v := int64(0); v < db.N; v++ {
-		if _, err := io.ReadFull(fwd, vec); err != nil {
+	for lo := int64(0); lo < db.N; {
+		hi := min(db.N, lo+blk.Len())
+		b, err := blk.Read(lo, hi)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := binary.BigEndian.Uint16(vec); got != uint16(v) {
-			t.Fatalf("forward mask at node %d slot 0: %d, want %d", v, got, uint16(v))
+		for v := lo; v < hi; v++ {
+			if got := binary.BigEndian.Uint16(b[(v-lo)*w:]); got != uint16(v) {
+				t.Fatalf("forward mask at node %d slot 0: %d, want %d", v, got, uint16(v))
+			}
 		}
+		lo = hi
 	}
 
 	// Vector-state scans (the batch shape: S = one state per member)

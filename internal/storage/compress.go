@@ -165,7 +165,7 @@ func sniffContainer(r io.ReaderAt, size int64) bool {
 		return false
 	}
 	var magic [8]byte
-	if _, err := r.ReadAt(magic[:], 0); err != nil {
+	if err := ReadFullAt(r, magic[:], 0); err != nil {
 		return false
 	}
 	return string(magic[:]) == compressMagic
@@ -200,7 +200,7 @@ func ValidBlockSize(blockSize int) bool {
 // arblint:holds mu — construction: the source is not yet shared.
 func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 	var hdr [compressHeader]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
+	if err := ReadFullAt(r, hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("storage: container header: %w", err)
 	}
 	if string(hdr[:8]) != compressMagic {
@@ -221,12 +221,12 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 	}
 	footOff := size - compressFooter
 	var foot [compressFooter]byte
-	if _, err := r.ReadAt(foot[:], footOff); err != nil {
+	if err := ReadFullAt(r, foot[:], footOff); err != nil {
 		return nil, fmt.Errorf("storage: container footer: %w", err)
 	}
 	if string(foot[24:32]) != compressEndMagic {
 		footOff--
-		if _, err := r.ReadAt(foot[:], footOff); err != nil {
+		if err := ReadFullAt(r, foot[:], footOff); err != nil {
 			return nil, fmt.Errorf("storage: container footer: %w", err)
 		}
 		if string(foot[24:32]) != compressEndMagic {
@@ -247,7 +247,7 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 		return nil, fmt.Errorf("storage: container table at %d does not meet the footer at %d", tableOff, footOff)
 	}
 	table := make([]byte, blocks*tableEntrySize)
-	if _, err := r.ReadAt(table, tableOff); err != nil {
+	if err := ReadFullAt(r, table, tableOff); err != nil {
 		return nil, fmt.Errorf("storage: container table: %w", err)
 	}
 	bs := &blockSource{
@@ -377,7 +377,7 @@ func (bs *blockSource) fillSlot(s *blockSlot, i int64) error {
 	s.data = s.data[:want]
 	stored := int(bs.offs[i+1] - bs.offs[i])
 	if bs.enc[i] == 0 {
-		if _, err := bs.phys.ReadAt(s.data, bs.offs[i]); err != nil {
+		if err := ReadFullAt(bs.phys, s.data, bs.offs[i]); err != nil {
 			return fmt.Errorf("storage: raw block %d: %w", i, err)
 		}
 		s.idx = i
@@ -385,7 +385,7 @@ func (bs *blockSource) fillSlot(s *blockSlot, i int64) error {
 	}
 	comp := getScratch(stored)
 	defer putScratch(comp)
-	if _, err := bs.phys.ReadAt(comp, bs.offs[i]); err != nil {
+	if err := ReadFullAt(bs.phys, comp, bs.offs[i]); err != nil {
 		return fmt.Errorf("storage: compressed block %d: %w", i, err)
 	}
 	var err error

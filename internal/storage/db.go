@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -162,11 +161,17 @@ func (db *DB) RecordAt(v int64) (Record, error) {
 		return Record{}, fmt.Errorf("storage: record %d out of range [0, %d)", v, db.N)
 	}
 	var buf [NodeSize]byte
-	if _, err := db.arb.ReadAt(buf[:], v*NodeSize); err != nil {
+	if err := ReadFullAt(db.arb, buf[:], v*NodeSize); err != nil {
 		return Record{}, err
 	}
 	return DecodeRecord(binary.BigEndian.Uint16(buf[:])), nil
 }
+
+// Records returns the database's logical record space: node v's 2-byte
+// record at offset v*NodeSize, whatever the physical layout (raw file,
+// compressed container or stitched snapshot). The evaluation kernel reads
+// it a block at a time (Blocks).
+func (db *DB) Records() io.ReaderAt { return db.arb }
 
 // NewVirtualDB wraps an arbitrary record source as a database handle: r
 // must serve n nodes (n*NodeSize bytes) of well-formed preorder records
@@ -260,6 +265,14 @@ func (c *Canceller) Step() error {
 	if c.left > 0 {
 		return nil
 	}
+	return c.check()
+}
+
+// check is Step's check point, out of line so Step inlines into the
+// per-node loops.
+//
+//go:noinline
+func (c *Canceller) check() error {
 	c.left = cancelEvery
 	if c.ctx == nil {
 		return nil
@@ -311,60 +324,28 @@ func (f *backFold[S]) node(rec Record, v int64) error {
 	return nil
 }
 
-// foldRegion scans the node range [lo, hi) backwards, feeding every
-// record to the fold.
+// foldRegion scans the node range [lo, hi) backwards a block at a time,
+// feeding every record to the fold.
 func (f *backFold[S]) foldRegion(db *DB, lo, hi int64) error {
-	br, err := NewBackwardSectionReader(db.arb, lo*NodeSize, hi*NodeSize, NodeSize)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
+	blk := NewBlocks(db.arb, NodeSize)
+	defer blk.Release()
 	f.stats.PhysicalBytes += db.PhysSpan(lo, hi)
-	for v := hi - 1; v >= lo; v-- {
-		if err := f.cancel.Step(); err != nil {
-			return err
-		}
-		b, err := br.Next()
+	for bhi := hi; bhi > lo; {
+		blo := max(lo, bhi-blk.Len())
+		b, err := blk.Read(blo, bhi)
 		if err != nil {
 			return fmt.Errorf("storage: backward scan: %w", err)
 		}
-		f.stats.Bytes += NodeSize
-		if err := f.node(DecodeRecord(binary.BigEndian.Uint16(b)), v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// foldRegionSkipping runs the backward fold over [lo, hi) with holes: the
-// extents in skip (sorted by Root, disjoint, within [lo, hi)) are not
-// read; subtree supplies each one's stand-in result in reverse preorder
-// position. It is the shared engine behind FoldBottomUpSkipping (whole
-// database) and FoldBottomUpRangeSkipping (one chunk).
-func (f *backFold[S]) foldRegionSkipping(db *DB, lo, hi int64, skip []Extent, subtree func(Extent) (S, error)) error {
-	cur := hi
-	for i := len(skip) - 1; i >= -1; i-- {
-		regionLo := lo
-		var ext *Extent
-		if i >= 0 {
-			ext = &skip[i]
-			regionLo = ext.End()
-		}
-		if regionLo > cur || (ext != nil && ext.Root < lo) {
-			return fmt.Errorf("storage: skip extents unsorted, overlapping or out of range")
-		}
-		if err := f.foldRegion(db, regionLo, cur); err != nil {
-			return err
-		}
-		if ext != nil {
-			s, err := subtree(*ext)
-			if err != nil {
+		for v := bhi - 1; v >= blo; v-- {
+			if err := f.cancel.Step(); err != nil {
 				return err
 			}
-			f.push(s)
-			f.stats.Nodes += ext.Size
-			cur = ext.Root
+			f.stats.Bytes += NodeSize
+			if err := f.node(DecodeRecord(binary.BigEndian.Uint16(b[(v-blo)*NodeSize:])), v); err != nil {
+				return err
+			}
 		}
+		bhi = blo
 	}
 	return nil
 }
@@ -377,19 +358,9 @@ func (f *backFold[S]) foldRegionSkipping(db *DB, lo, hi int64, skip []Extent, su
 // returns the root's result. Cancelling ctx makes the scan return
 // ctx.Err() promptly (checked every few thousand nodes).
 func FoldBottomUp[S any](ctx context.Context, db *DB, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
-	return FoldBottomUpSkipping(ctx, db, nil, nil, combine)
-}
-
-// FoldBottomUpSkipping is FoldBottomUp with holes: the subtree extents in
-// skip (sorted by Root, disjoint) are not read; instead subtree is called
-// once per extent — in reverse preorder position — and its result stands
-// in for the whole subtree, exactly as if combine had folded it. This is
-// the leader scan of parallel evaluation: workers fold the extents, the
-// leader folds the glue, and in aggregate every byte is read once.
-func FoldBottomUpSkipping[S any](ctx context.Context, db *DB, skip []Extent, subtree func(Extent) (S, error), combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
 	var zero S
 	f := backFold[S]{combine: combine, cancel: NewCanceller(ctx)}
-	if err := f.foldRegionSkipping(db, 0, db.N, skip, subtree); err != nil {
+	if err := f.foldRegion(db, 0, db.N); err != nil {
 		return zero, f.stats, err
 	}
 	if len(f.stack) != 1 {
@@ -398,18 +369,22 @@ func FoldBottomUpSkipping[S any](ctx context.Context, db *DB, skip []Extent, sub
 	return f.stack[0], f.stats, nil
 }
 
-// FoldBottomUpRangeSkipping is FoldBottomUpRange with holes: the subtree
-// extents in skip (sorted by Root, disjoint, strictly inside x) are not
-// read; subtree supplies each one's stand-in result. Workers of the
-// parallel evaluators use it to prune irrelevant subtrees inside their
-// own chunks.
-func FoldBottomUpRangeSkipping[S any](ctx context.Context, db *DB, x Extent, skip []Extent, subtree func(Extent) (S, error), combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
+// FoldBottomUpRange folds one complete subtree extent bottom-up in a
+// backward scan of just its byte range. combine is called exactly once
+// per node of the extent, in reverse preorder; the subtree root's result
+// is returned. The extent must be a subtree extent (e.g. from
+// SubtreeIndex.Cut) — anything else fails the structure check with
+// ErrBadExtent.
+func FoldBottomUpRange[S any](ctx context.Context, db *DB, x Extent, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
 	var zero S
 	f := backFold[S]{combine: combine, cancel: NewCanceller(ctx)}
 	if x.Root < 0 || x.Size <= 0 || x.End() > db.N {
 		return zero, f.stats, fmt.Errorf("%w: [%d,%d) out of range", ErrBadExtent, x.Root, x.End())
 	}
-	if err := f.foldRegionSkipping(db, x.Root, x.End(), skip, subtree); err != nil {
+	if err := f.foldRegion(db, x.Root, x.End()); err != nil {
+		// Cancellation is deliberately not dressed up as ErrBadExtent: it
+		// would send callers into an index rebuild for a non-structural
+		// condition.
 		if isCancel(err) {
 			return zero, f.stats, err
 		}
@@ -419,18 +394,6 @@ func FoldBottomUpRangeSkipping[S any](ctx context.Context, db *DB, x Extent, ski
 		return zero, f.stats, fmt.Errorf("%w: [%d,%d) folds to %d roots", ErrBadExtent, x.Root, x.End(), len(f.stack))
 	}
 	return f.stack[0], f.stats, nil
-}
-
-// FoldBottomUpRange folds one complete subtree extent bottom-up in a
-// backward scan of just its byte range. combine is called exactly once
-// per node of the extent, in reverse preorder; the subtree root's result
-// is returned. The extent must be a subtree extent (e.g. from
-// SubtreeIndex.Cut) — anything else fails the structure check.
-func FoldBottomUpRange[S any](ctx context.Context, db *DB, x Extent, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
-	// Cancellation is deliberately not dressed up as ErrBadExtent (see
-	// FoldBottomUpRangeSkipping): it would send callers into an index
-	// rebuild for a non-structural condition.
-	return FoldBottomUpRangeSkipping(ctx, db, x, nil, nil, combine)
 }
 
 // topDown is the shared inner loop of the forward (top-down) scans: it
@@ -486,37 +449,6 @@ func (t *topDown[S]) node(v int64, rec Record) error {
 	return t.afterSubtree(v + 1)
 }
 
-// sectionReaderPool recycles the buffered forward readers of the scan
-// loops: the skipping scans open one reader per gap between extents, so
-// on many-extent frontiers (parallel cuts, pruning plans) pooling the
-// buffers cuts the allocation churn to zero in steady state.
-var sectionReaderPool = sync.Pool{
-	New: func() interface{} { return bufio.NewReaderSize(nil, scanBufSize) },
-}
-
-// sectionReader returns a buffered forward reader over the node range
-// [lo, hi) backed by ReadAt, safe to use concurrently with other readers
-// on the same handle. The reader comes from a pool; return it with
-// putSectionReader when the scan is done with it.
-func (db *DB) sectionReader(lo, hi int64) *bufio.Reader {
-	r := sectionReaderPool.Get().(*bufio.Reader)
-	r.Reset(io.NewSectionReader(db.arb, lo*NodeSize, (hi-lo)*NodeSize))
-	return r
-}
-
-// resetSectionReader repoints a pooled reader at a new node range,
-// reusing its buffer.
-func (db *DB) resetSectionReader(r *bufio.Reader, lo, hi int64) {
-	r.Reset(io.NewSectionReader(db.arb, lo*NodeSize, (hi-lo)*NodeSize))
-}
-
-// putSectionReader returns a reader obtained from sectionReader to the
-// pool, dropping its reference to the underlying file.
-func putSectionReader(r *bufio.Reader) {
-	r.Reset(nil)
-	sectionReaderPool.Put(r)
-}
-
 // ScanTopDown traverses the database top-down in one forward linear scan
 // of the .arb file (Proposition 5.1). visit is called exactly once per
 // node in preorder; for the root, parent is nil and k is 0; otherwise
@@ -532,8 +464,8 @@ func ScanTopDown[S any](ctx context.Context, db *DB, visit func(v int64, rec Rec
 // skip (sorted by Root, disjoint) are not read; instead subtree is called
 // once per extent with the parent value and child position its root would
 // have received, and the scan continues past the extent as if visit had
-// consumed it. The parallel evaluator's leader uses it to assign top-down
-// entry states to the frontier chunks without reading their bytes.
+// consumed it. The versioned store's patch scans use it to step over
+// subtrees they do not need to read.
 func ScanTopDownSkipping[S any](ctx context.Context, db *DB, skip []Extent, subtree func(x Extent, parent *S, k int) error, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
 	t := topDown[S]{visit: visit, end: db.N}
 	if err := t.scanRegion(ctx, db, 0, db.N, skip, subtree); err != nil {
@@ -546,15 +478,15 @@ func ScanTopDownSkipping[S any](ctx context.Context, db *DB, skip []Extent, subt
 }
 
 // scanRegion runs the forward scan over the node range [lo, hi) with
-// holes at the skip extents, reusing one pooled section reader across all
-// gaps — the shared engine behind ScanTopDownSkipping (whole database)
-// and ScanTopDownRangeSkipping (one chunk).
+// holes at the skip extents, reading each gap a block at a time through
+// one pooled block — the shared engine behind ScanTopDownSkipping (whole
+// database) and ScanTopDownRange (one extent).
 func (t *topDown[S]) scanRegion(ctx context.Context, db *DB, lo, hi int64, skip []Extent, subtree func(x Extent, parent *S, k int) error) error {
 	cancel := NewCanceller(ctx)
+	blk := NewBlocks(db.arb, NodeSize)
+	defer blk.Release()
 	si := 0
 	v := lo
-	r := db.sectionReader(v, v)
-	defer putSectionReader(r)
 	for v < hi {
 		gapEnd := hi
 		if si < len(skip) {
@@ -563,19 +495,21 @@ func (t *topDown[S]) scanRegion(ctx context.Context, db *DB, lo, hi int64, skip 
 			}
 			gapEnd = skip[si].Root
 		}
-		db.resetSectionReader(r, v, gapEnd)
 		t.stats.PhysicalBytes += db.PhysSpan(v, gapEnd)
-		var buf [NodeSize]byte
-		for ; v < gapEnd; v++ {
-			if err := cancel.Step(); err != nil {
-				return err
-			}
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
+		for v < gapEnd {
+			bhi := min(gapEnd, v+blk.Len())
+			b, err := blk.Read(v, bhi)
+			if err != nil {
 				return fmt.Errorf("storage: forward scan: %w", err)
 			}
-			t.stats.Bytes += NodeSize
-			if err := t.node(v, DecodeRecord(binary.BigEndian.Uint16(buf[:]))); err != nil {
-				return err
+			for blo := v; v < bhi; v++ {
+				if err := cancel.Step(); err != nil {
+					return err
+				}
+				t.stats.Bytes += NodeSize
+				if err := t.node(v, DecodeRecord(binary.BigEndian.Uint16(b[(v-blo)*NodeSize:]))); err != nil {
+					return err
+				}
 			}
 		}
 		if si < len(skip) {
@@ -600,27 +534,17 @@ func (t *topDown[S]) scanRegion(ctx context.Context, db *DB, lo, hi int64, skip 
 // ScanTopDownRange scans one complete subtree extent forward. visit is
 // called exactly once per node of the extent in preorder; the extent's
 // root is visited with parent nil and k 0 — the caller supplies its real
-// top-down context through the closure (the parallel evaluator primes it
-// with the entry state the leader computed).
+// top-down context through the closure.
 func ScanTopDownRange[S any](ctx context.Context, db *DB, x Extent, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
-	return ScanTopDownRangeSkipping(ctx, db, x, nil, nil, visit)
-}
-
-// ScanTopDownRangeSkipping is ScanTopDownRange with holes: the subtree
-// extents in skip (sorted by Root, disjoint, strictly inside x) are not
-// read; subtree is called once per extent with the parent value and child
-// position its root would have received. Workers of the parallel
-// evaluators use it to seek past irrelevant subtrees inside their chunks.
-func ScanTopDownRangeSkipping[S any](ctx context.Context, db *DB, x Extent, skip []Extent, subtree func(x Extent, parent *S, k int) error, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
 	t := topDown[S]{visit: visit, end: x.End()}
 	if x.Root < 0 || x.Size <= 0 || x.End() > db.N {
 		return t.stats, fmt.Errorf("%w: [%d,%d) out of range", ErrBadExtent, x.Root, x.End())
 	}
 	// Callback and read errors pass through unwrapped: only the final
 	// structure check below is evidence of a stale extent (a mid-scan
-	// error may be the caller's own — an aux write failure, say — and
-	// dressing it as ErrBadExtent would trigger a pointless rebuild).
-	if err := t.scanRegion(ctx, db, x.Root, x.End(), skip, subtree); err != nil {
+	// error may be the caller's own, and dressing it as ErrBadExtent
+	// would trigger a pointless rebuild).
+	if err := t.scanRegion(ctx, db, x.Root, x.End(), nil, nil); err != nil {
 		return t.stats, err
 	}
 	if t.parent != nil || len(t.pending) > 0 {

@@ -13,6 +13,15 @@
 //	           label index i >= 256 is the (i-255)th entry. Indices 0..255
 //	           are reserved for text characters.
 //
+// Every scan reads a block at a time: Blocks fetches up to 64 KB of
+// records (or of any unit-addressed sidecar — phase-1 state vectors, aux
+// masks) with one ReadAt, forwards or backwards, so the disk sees large
+// (reverse-)sequential transfers and the per-node loops touch only
+// memory. The generic folds here (FoldBottomUp, ScanTopDown) and the
+// evaluation kernel's own loops (internal/core) share it; a read that
+// ends exactly at the end of its source may report io.EOF with the full
+// count, which ReadFullAt accepts.
+//
 // Databases are created in two passes: a SAX-style parsing pass writes a
 // temporary event file (base.evt, two 2-byte events per node) and counts
 // nodes; a second pass reads the event file backwards and writes the .arb
@@ -26,9 +35,10 @@ import "fmt"
 // paper's implementation, giving 2^14 = 16,384 distinct labels).
 const NodeSize = 2
 
+// Record bits: the block kernels test them on the raw 2-byte value.
 const (
-	flagFirst  = 0x8000 // highest bit: node has a first child
-	flagSecond = 0x4000 // second-highest bit: node has a second child
+	FlagFirst  = 0x8000 // highest bit: node has a first child
+	FlagSecond = 0x4000 // second-highest bit: node has a second child
 	labelMask  = 0x3FFF
 )
 
@@ -43,10 +53,10 @@ type Record struct {
 func (r Record) Encode() uint16 {
 	v := r.Label & labelMask
 	if r.HasFirst {
-		v |= flagFirst
+		v |= FlagFirst
 	}
 	if r.HasSecond {
-		v |= flagSecond
+		v |= FlagSecond
 	}
 	return v
 }
@@ -55,8 +65,8 @@ func (r Record) Encode() uint16 {
 func DecodeRecord(v uint16) Record {
 	return Record{
 		Label:     v & labelMask,
-		HasFirst:  v&flagFirst != 0,
-		HasSecond: v&flagSecond != 0,
+		HasFirst:  v&FlagFirst != 0,
+		HasSecond: v&FlagSecond != 0,
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -487,5 +489,80 @@ func TestRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// eofReaderAt serves a byte slice the way io.ReaderAt permits but
+// *os.File never does: a read that ends exactly at the end of the input
+// returns io.EOF alongside the full count.
+type eofReaderAt []byte
+
+func (r eofReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(r)) {
+		return 0, io.EOF
+	}
+	n := copy(p, r[off:])
+	if off+int64(n) == int64(len(r)) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// TestReaderAtEOF checks that BackwardReader, Blocks and the generic
+// scans over OpenReaderAt accept the (len(p), io.EOF) a ReaderAt may
+// return for a read ending at the end of its input, and still report a
+// genuinely short read.
+func TestReaderAtEOF(t *testing.T) {
+	data := make([]byte, 2*3000)
+	for i := 0; i < 3000; i++ {
+		binary.BigEndian.PutUint16(data[2*i:], uint16(i))
+	}
+	br, err := NewBackwardReader(eofReaderAt(data), int64(len(data)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Release()
+	for want := 2999; want >= 0; want-- {
+		b, err := br.Next()
+		if err != nil {
+			t.Fatalf("BackwardReader at unit %d: %v", want, err)
+		}
+		if got := binary.BigEndian.Uint16(b); got != uint16(want) {
+			t.Fatalf("BackwardReader unit %d, want %d", got, want)
+		}
+	}
+	blk := NewBlocks(eofReaderAt(data), 2)
+	defer blk.Release()
+	if _, err := blk.Read(max(0, 3000-blk.Len()), 3000); err != nil {
+		t.Fatalf("Blocks read ending at the end: %v", err)
+	}
+	if _, err := blk.Read(2999, 3001); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Blocks read past the end: %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	tr := randomDoc(rand.New(rand.NewSource(3)), 2000)
+	base := filepath.Join(t.TempDir(), "db")
+	fileDB, err := CreateFromTree(base, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fileDB.Close()
+	raw, err := os.ReadFile(base + ".arb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenReaderAt(base, eofReaderAt(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.ReadTree(context.Background())
+	if err != nil {
+		t.Fatalf("ReadTree over an EOF-at-end source: %v", err)
+	}
+	if got.Len() != tr.Len() {
+		t.Fatalf("ReadTree read %d nodes, want %d", got.Len(), tr.Len())
+	}
+	if _, _, err := FoldBottomUp(context.Background(), db, func(first, second *int, rec Record, v int64) int { return 0 }); err != nil {
+		t.Fatalf("FoldBottomUp over an EOF-at-end source: %v", err)
 	}
 }

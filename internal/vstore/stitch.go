@@ -53,15 +53,11 @@ func (sr *stitchedReader) ReadAt(p []byte, off int64) (int, error) {
 		if rest := runEnd - off; chunk > rest {
 			chunk = rest
 		}
-		m, err := r.seg.src.ReadAt(p[n:n+int(chunk)], r.phys*storage.NodeSize+(off-runStart))
-		n += m
-		off += int64(m)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF // the manifest promised these bytes
-			}
-			return n, err
+		if err := storage.ReadFullAt(r.seg.src, p[n:n+int(chunk)], r.phys*storage.NodeSize+(off-runStart)); err != nil {
+			return n, err // a short segment: the manifest promised these bytes
 		}
+		n += int(chunk)
+		off += chunk
 	}
 	if n < len(p) {
 		return n, io.EOF
